@@ -17,7 +17,6 @@ pub mod decay;
 pub mod enrichment;
 pub mod interop;
 pub mod lineage;
-pub mod lint;
 pub mod timeline;
 
 pub use coverage::{analyze_coverage, coverage_of_corpus, CoverageRow, CoverageTables, Support};
@@ -37,5 +36,4 @@ pub use interop::{interop_report, Capability, InteropReport, InteropRow};
 pub use lineage::{
     corpus_dependency_edges, dependency_edges, producers_of, upstream_entities, LineageGraph,
 };
-pub use lint::{lint_corpus, lint_trace, LintFinding};
 pub use timeline::{timeline_of, Timeline, TimelineEntry};

@@ -110,40 +110,6 @@ fn bench(c: &mut Criterion) {
         lexical_s / ordered_s
     );
 
-    // Serial vs parallel evaluation ablation on the same join: the
-    // chunked path must return byte-identical rows, just faster.
-    let join = Arc::new(parse_query(JOIN_QUERY).expect("join query parses"));
-    let serial = QueryEngine::new(&full_graph).prepare_parsed(Arc::clone(&join));
-    let parallel = QueryEngine::with_options(&full_graph, EvalOptions::default().with_jobs(4))
-        .prepare_parsed(join);
-    assert_eq!(
-        serial.select().unwrap().rows,
-        parallel.select().unwrap().rows,
-        "parallel evaluation must not change the solution sequence"
-    );
-
-    let mut group = c.benchmark_group("parallel_eval");
-    group.sample_size(10);
-    group.bench_function("jobs_1", |b| b.iter(|| black_box(serial.select().unwrap())));
-    group.bench_function("jobs_4", |b| {
-        b.iter(|| black_box(parallel.select().unwrap()))
-    });
-    group.finish();
-
-    let t = Instant::now();
-    let _ = serial.select().unwrap();
-    let serial_s = t.elapsed().as_secs_f64();
-    let t = Instant::now();
-    let _ = parallel.select().unwrap();
-    let parallel_s = t.elapsed().as_secs_f64();
-    println!("\n--- parallel evaluation (full corpus, same join) ---");
-    println!(
-        "jobs=1 {:.1} ms · jobs=4 {:.1} ms · speedup {:.1}x",
-        serial_s * 1e3,
-        parallel_s * 1e3,
-        serial_s / parallel_s
-    );
-
     // LIMIT/ASK pushdown on the same adversarial join: the streaming
     // pipeline must stop scanning after the first row instead of
     // evaluating the full join and truncating afterwards.
@@ -159,7 +125,7 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("limit_pushdown");
     group.sample_size(10);
     group.bench_function("full_join", |b| {
-        b.iter(|| black_box(serial.select().unwrap()))
+        b.iter(|| black_box(ordered.select().unwrap()))
     });
     group.bench_function("limit_1", |b| {
         b.iter(|| black_box(limited.select().unwrap()))
@@ -171,7 +137,7 @@ fn bench(c: &mut Criterion) {
     // sub-millisecond early-exit paths), asserted so a pushdown
     // regression fails the bench run itself.
     let t = Instant::now();
-    let _ = serial.select().unwrap();
+    let _ = ordered.select().unwrap();
     let full_s = t.elapsed().as_secs_f64();
     let limit_s = (0..3)
         .map(|_| {

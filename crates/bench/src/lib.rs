@@ -8,10 +8,14 @@
 //! | `figure1` | Figure 1 — domains of workflows |
 //! | `table2` | Table 2 — starting-point PROV term coverage |
 //! | `table3` | Table 3 — additional PROV term coverage (incl. `*`) |
-//! | `queries` | §4 — exemplar queries Q1–Q6 |
+//! | `queries` | §4 — exemplar queries Q1–Q6, plus join ordering and LIMIT/ASK pushdown on the full corpus |
 //! | `rdf` | ablation — Turtle/N-Triples/TriG parse + serialize throughput |
 //! | `store` | ablation — indexed pattern matching vs full scan |
 //! | `inference` | ablation — PROV-O inference rule sets |
+//! | `planner` | ablation — selectivity-ordered vs written-order BGP joins |
+//! | `io` | ablation — corpus save, directory load, N-Quads export/parse |
+//! | `snapshot` | ablation — cold directory parse vs warm `corpus.snapshot` load |
+//! | `lint` | ablation — cold vs warm vs one-file-edit incremental corpus lint |
 //!
 //! The `reproduce` binary prints every exhibit side-by-side with the
 //! paper's values (`cargo run -p provbench-bench --bin reproduce`).

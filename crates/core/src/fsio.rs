@@ -179,18 +179,16 @@ mod fault {
             let kind = match &self.plan {
                 FaultPlan::Nth { kind, op: target } => (op == *target).then_some(*kind),
                 FaultPlan::Seeded { state, rate } => {
-                    let mut s = state.lock().unwrap_or_else(|e| e.into_inner());
-                    // xorshift64* — tiny, deterministic, good enough.
-                    *s ^= *s << 13;
-                    *s ^= *s >> 7;
-                    *s ^= *s << 17;
-                    let draw = s.wrapping_mul(0x2545F4914F6CDD1D);
-                    (draw % *rate == 0).then_some(match (draw >> 32) % 4 {
-                        0 => FaultKind::ReadError,
-                        1 => FaultKind::Interrupted,
-                        2 => FaultKind::ShortWrite,
-                        _ => FaultKind::TornRename,
-                    })
+                    let draw = crate::xorshift64_star(
+                        &mut state.lock().unwrap_or_else(|e| e.into_inner()),
+                    );
+                    draw.is_multiple_of(*rate)
+                        .then_some(match (draw >> 32) % 4 {
+                            0 => FaultKind::ReadError,
+                            1 => FaultKind::Interrupted,
+                            2 => FaultKind::ShortWrite,
+                            _ => FaultKind::TornRename,
+                        })
                 }
             };
             if kind.is_some() {

@@ -46,3 +46,15 @@ pub use store::{
 
 #[cfg(feature = "fault-inject")]
 pub use fsio::{FaultFs, FaultKind};
+
+/// One draw from a seeded xorshift64* stream: advance `state` by a
+/// 13/7/17 xorshift and return it scrambled by the xorshift64*
+/// multiplier. Tiny and deterministic; the seeded fault schedules
+/// (`FaultFs` here, `FaultConn` in the endpoint) and the endpoint
+/// client's backoff jitter all draw from it. A zero `state` stays zero.
+pub fn xorshift64_star(state: &mut u64) -> u64 {
+    *state ^= *state << 13;
+    *state ^= *state >> 7;
+    *state ^= *state << 17;
+    state.wrapping_mul(0x2545_F491_4F6C_DD1D)
+}

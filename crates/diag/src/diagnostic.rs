@@ -1,6 +1,7 @@
 //! The diagnostic type every lint rule produces.
 
 use provbench_rdf::{Iri, Span};
+use provbench_workflow::execution::fnv1a;
 use std::fmt;
 
 /// How serious a diagnostic is. Ordered: `Info < Warning < Error`.
@@ -135,20 +136,14 @@ impl Diagnostic {
     /// baseline written on one OS or from one invocation directory keeps
     /// matching on another.
     pub fn fingerprint(&self) -> String {
-        let mut h = Fnv1a::new();
-        h.write(self.rule.id.as_bytes());
-        h.write(b"|");
-        if let Some(f) = &self.file {
-            let normalized = f.replace('\\', "/");
-            let normalized = normalized.strip_prefix("./").unwrap_or(&normalized);
-            h.write(normalized.as_bytes());
-        }
-        h.write(b"|");
-        match &self.node {
-            Some(n) => h.write(n.as_str().as_bytes()),
-            None => h.write(self.message.as_bytes()),
-        }
-        format!("{}-{:016x}", self.rule.id, h.finish())
+        let file = self.file.as_deref().unwrap_or_default().replace('\\', "/");
+        let file = file.strip_prefix("./").unwrap_or(&file);
+        let subject = match &self.node {
+            Some(n) => n.as_str(),
+            None => &self.message,
+        };
+        let key = format!("{}|{file}|{subject}", self.rule.id);
+        format!("{}-{:016x}", self.rule.id, fnv1a(key.as_bytes()))
     }
 
     /// Sort key giving deterministic output order: file, position, rule
@@ -179,27 +174,6 @@ impl fmt::Display for Diagnostic {
             write!(f, " ")?;
         }
         write!(f, "{}: {} [{}]", self.severity, self.message, self.rule.id)
-    }
-}
-
-/// FNV-1a 64-bit, the same tiny hash the test seeder uses; good enough
-/// for fingerprints and dependency-free.
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    fn new() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for b in bytes {
-            self.0 ^= u64::from(*b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 

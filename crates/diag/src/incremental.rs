@@ -27,6 +27,7 @@ use provbench_core::snapshot::{
     RelatedRecord, SummaryRecord, LINT_SNAPSHOT_FILE,
 };
 use provbench_rdf::{parse_trig_spanned, parse_turtle_spanned, Graph, Iri, Span, SpanTable};
+use provbench_workflow::execution::fnv1a;
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -74,16 +75,6 @@ pub struct CorpusLintOutcome {
     pub cache_written: bool,
 }
 
-/// FNV-1a 64-bit over a byte slice — the per-file fingerprint.
-fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Hash of the rule catalog plus the crate version. Baked into the lint
 /// snapshot; any change to the rule set (new rule, changed severity or
 /// summary, new linter release) invalidates every cached entry, since
@@ -99,7 +90,7 @@ pub fn catalog_fingerprint(registry: &Registry) -> u64 {
         bytes.push(severity_code(info.severity));
         bytes.extend_from_slice(info.summary.as_bytes());
     }
-    fnv1a_64(&bytes)
+    fnv1a(&bytes)
 }
 
 fn severity_code(s: Severity) -> u8 {
@@ -268,7 +259,7 @@ fn analyze_content(label: &str, content: &str, registry: &Registry) -> FileAnaly
     };
     FileAnalysis {
         label: label.to_owned(),
-        fingerprint: fnv1a_64(content.as_bytes()),
+        fingerprint: fnv1a(content.as_bytes()),
         summary,
         diagnostics,
         fresh: true,
@@ -350,7 +341,7 @@ pub fn lint_corpus_incremental(
         let (path, label) = (&files[i], &labels[i]);
         match std::fs::read_to_string(path) {
             Ok(content) => {
-                let fingerprint = fnv1a_64(content.as_bytes());
+                let fingerprint = fnv1a(content.as_bytes());
                 let hit = cached
                     .lock()
                     .expect("no poisoned workers")

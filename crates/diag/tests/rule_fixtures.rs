@@ -1,7 +1,10 @@
 //! One good/bad fixture pair per rule ID: the bad document must trigger
 //! exactly that rule (with a source span), the good twin must not.
 
-use provbench_diag::{lint_content, Diagnostic, Registry};
+use provbench_core::{Corpus, CorpusSpec};
+use provbench_diag::rules::profile::{TavernaProfile, WingsProfile};
+use provbench_diag::{lint_content, Diagnostic, FileContext, Registry};
+use provbench_rdf::SpanTable;
 
 const PREFIXES: &str = "\
 @prefix prov:   <http://www.w3.org/ns/prov#> .
@@ -363,6 +366,34 @@ fn clean_fixtures_are_fully_clean() {
     for (label, body) in [("taverna.ttl", TAVERNA_CLEAN), ("wings.ttl", WINGS_CLEAN)] {
         let diags = lint(label, body);
         assert!(diags.is_empty(), "{label} expected clean, got {diags:#?}");
+    }
+}
+
+/// Every generated trace follows its own system's profile: the profile
+/// packs, run over each trace's union graph with its known system, find
+/// nothing.
+#[test]
+fn generated_traces_are_profile_clean() {
+    let corpus = Corpus::generate(&CorpusSpec {
+        max_workflows: Some(70),
+        total_runs: 80,
+        failed_runs: 5,
+        ..CorpusSpec::default()
+    });
+    let mut profiles = Registry::new();
+    profiles.register(Box::new(TavernaProfile));
+    profiles.register(Box::new(WingsProfile));
+    let spans = SpanTable::default();
+    for trace in &corpus.traces {
+        let graph = trace.union_graph();
+        let cx = FileContext {
+            path: None,
+            graph: &graph,
+            spans: &spans,
+            system: Some(trace.system),
+        };
+        let diags = profiles.check(&cx);
+        assert!(diags.is_empty(), "{}: {diags:#?}", trace.run_id);
     }
 }
 

@@ -244,11 +244,9 @@ impl Client {
 
     /// One xorshift64* draw mapped to [0, 1).
     fn rand01(&self) -> f64 {
-        let mut s = self.rng.lock().unwrap_or_else(|e| e.into_inner());
-        *s ^= *s << 13;
-        *s ^= *s >> 7;
-        *s ^= *s << 17;
-        let draw = s.wrapping_mul(0x2545F4914F6CDD1D);
+        let draw = provbench_core::xorshift64_star(
+            &mut self.rng.lock().unwrap_or_else(|e| e.into_inner()),
+        );
         (draw >> 11) as f64 / (1u64 << 53) as f64
     }
 }

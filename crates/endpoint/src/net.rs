@@ -225,17 +225,16 @@ mod fault {
             let kind = match &self.plan {
                 FaultPlan::Nth { kind, op: target } => (op == *target).then_some(*kind),
                 FaultPlan::Seeded { state, rate } => {
-                    let mut s = state.lock().unwrap_or_else(|e| e.into_inner());
-                    *s ^= *s << 13;
-                    *s ^= *s >> 7;
-                    *s ^= *s << 17;
-                    let draw = s.wrapping_mul(0x2545F4914F6CDD1D);
-                    (draw % *rate == 0).then_some(match (draw >> 33) % 4 {
-                        0 => NetFaultKind::ShortRead,
-                        1 => NetFaultKind::ShortWrite,
-                        2 => NetFaultKind::Reset,
-                        _ => NetFaultKind::Stall,
-                    })
+                    let draw = provbench_core::xorshift64_star(
+                        &mut state.lock().unwrap_or_else(|e| e.into_inner()),
+                    );
+                    draw.is_multiple_of(*rate)
+                        .then_some(match (draw >> 33) % 4 {
+                            0 => NetFaultKind::ShortRead,
+                            1 => NetFaultKind::ShortWrite,
+                            2 => NetFaultKind::Reset,
+                            _ => NetFaultKind::Stall,
+                        })
                 }
             };
             if kind.is_some() {

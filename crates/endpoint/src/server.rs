@@ -77,11 +77,6 @@ pub struct ServerConfig {
     /// Per-request cap on intermediate rows — a deterministic cost
     /// bound that trips even when the clock barely advances.
     pub(crate) row_budget: Option<u64>,
-    /// Worker threads for each request's query evaluation (`1` =
-    /// serial, `0` = one per core capped at 8). Results are
-    /// byte-identical regardless of the setting; see
-    /// [`EvalOptions::with_jobs`].
-    pub(crate) eval_jobs: usize,
     /// Parsed query plans cached by query text (LRU).
     pub(crate) plan_cache_size: usize,
     /// Total budget for receiving one request, enforced as a deadline
@@ -122,7 +117,6 @@ impl ServerConfig {
             queue_depth: 32,
             query_timeout: Duration::from_secs(10),
             row_budget: Some(50_000_000),
-            eval_jobs: 1,
             plan_cache_size: 64,
             read_timeout: Duration::from_secs(5),
             write_timeout: Duration::from_secs(5),
@@ -155,15 +149,6 @@ impl ServerConfig {
     /// Per-request cap on intermediate rows (`None` = unbounded).
     pub fn row_budget(mut self, budget: Option<u64>) -> Self {
         self.row_budget = budget;
-        self
-    }
-
-    /// Worker threads for each request's query evaluation (`1` =
-    /// serial, `0` = one per core capped at 8). Keep the product of
-    /// `workers` and `eval_jobs` near the core count to avoid
-    /// oversubscription under load.
-    pub fn eval_jobs(mut self, jobs: usize) -> Self {
-        self.eval_jobs = jobs;
         self
     }
 
@@ -723,14 +708,13 @@ impl Endpoint {
         Response::status(200)
             .content_type("application/json")
             .body(format!(
-                "{{\"triples\":{},\"terms\":{},\"cached_plans\":{},\"eval_jobs\":{},\
+                "{{\"triples\":{},\"terms\":{},\"cached_plans\":{},\
                  \"rows_emitted_total\":{rows_emitted},\
                  \"ready\":{},\"rebuilding\":{},\"panics_total\":{},\
                  \"ingest_errors\":{},\"lint_errors\":{}{source}}}",
                 graph.len(),
                 graph.term_count(),
                 self.cached_plans(),
-                self.config.eval_jobs,
                 self.is_ready(),
                 self.health.rebuilding.load(Ordering::SeqCst),
                 self.panics_total(),
@@ -777,9 +761,7 @@ impl Endpoint {
             .map(Duration::from_millis)
             .filter(|t| *t < self.config.query_timeout)
             .unwrap_or(self.config.query_timeout);
-        let mut opts = EvalOptions::default()
-            .with_timeout(timeout)
-            .with_jobs(self.config.eval_jobs);
+        let mut opts = EvalOptions::default().with_timeout(timeout);
         opts.row_budget = self.config.row_budget;
         opts
     }
@@ -1669,28 +1651,6 @@ mod tests {
         let r = ep.handle(&request(&format!("GET /sparql?query={q} HTTP/1.1\r\n\r\n")));
         assert_eq!(r.status, 200, "{}", r.body);
         assert_eq!(ep.panics_total(), 0);
-    }
-
-    /// `eval_jobs` flows from the config into each request's
-    /// `EvalOptions` and is surfaced by `/stats`; results match the
-    /// serial default byte for byte.
-    #[test]
-    fn eval_jobs_config_flows_into_requests() {
-        let parallel = endpoint_with(ServerConfig::new().eval_jobs(4));
-        let serial = endpoint();
-        assert_eq!(parallel.config().eval_jobs, 4);
-
-        let r = parallel.handle(&request("GET /stats HTTP/1.1\r\n\r\n"));
-        assert!(r.body.contains("\"eval_jobs\":4"), "{}", r.body);
-
-        let q = crate::http::url_encode(
-            "PREFIX wfprov: <http://purl.org/wf4ever/wfprov#> SELECT ?r WHERE { ?r a wfprov:WorkflowRun }",
-        );
-        let raw = format!("GET /sparql?query={q} HTTP/1.1\r\n\r\n");
-        let a = parallel.handle(&request(&raw));
-        let b = serial.handle(&request(&raw));
-        assert_eq!(a.status, 200, "{}", a.body);
-        assert_eq!(a.body, b.body);
     }
 
     #[test]

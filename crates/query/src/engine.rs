@@ -178,11 +178,9 @@ impl<'g> PreparedQuery<'g> {
     /// Routed through the streaming first-row fast path: evaluation
     /// stops — and its scans stop — as soon as one row is produced,
     /// so an ASK over an adversarial join costs one probe chain, not
-    /// the cross product. Serial evaluation is forced because the
-    /// parallel path materializes whole chunks eagerly.
+    /// the cross product.
     pub fn ask(&self) -> Result<bool, QueryError> {
-        let options = self.options.with_jobs(1);
-        let mut rows = plan::rows(self.graph, &self.query, &options, Some(self.registry()))?;
+        let mut rows = self.rows()?;
         match rows.next() {
             Some(Ok(_)) => Ok(true),
             Some(Err(e)) => Err(e),

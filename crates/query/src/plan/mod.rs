@@ -1,27 +1,30 @@
 //! Physical query plans: lowering, streaming execution, explain.
 //!
-//! The evaluator's resolved pattern tree is lowered into a pipeline of
-//! pull-based operators ([`ops`]) rooted in a [`Rows`] iterator — the
-//! streaming half of the engine API ([`PreparedQuery::rows`] returns
-//! one; `select()` is a collect over it). Lowering preserves the
-//! planner-chosen join order of every BGP, and a full drain of the
-//! pipeline is byte-identical to the old materialize-everything
-//! evaluator — including the parallel path, which still evaluates
-//! eagerly into per-worker chunks and drains them in chunk order.
-//! What streaming adds is early termination: `LIMIT k` stops pulling
-//! (and therefore scanning) after `k` rows, and `ASK` after the first.
+//! This is the query evaluator. The resolved pattern tree is lowered
+//! into a pipeline of pull-based operators ([`ops`]) rooted in a
+//! [`Rows`] iterator — the streaming half of the engine API
+//! ([`PreparedQuery::rows`] returns one; `select()` is a collect over
+//! it). Every BGP's joins run in the planner-chosen order. OPTIONAL
+//! bodies and UNION arms are operator subtrees, lowered and planned once
+//! per query and re-seeded from their input rows, so streaming reaches
+//! into them: `LIMIT k` stops pulling (and therefore scanning) after `k`
+//! rows, and `ASK` after the first, wherever those rows come from.
 //!
 //! Pipeline shape, bottom to top:
 //!
 //! ```text
-//! Seed → (Scan → IndexedJoin* | Chunks) → Filter/Optional/Union*   id space
-//!      → Project | Aggregate → Distinct → OrderBy → Slice → AskGate solution space
+//! Replay(seed) → Scan → IndexedJoin* / Filter / Optional{body} / Union{left, right}   id space
+//!      → Project | Aggregate → Distinct → OrderBy → Slice → AskGate               solution space
 //! ```
 //!
 //! Pipeline breakers — operators that must see their whole input
 //! before emitting a row — are `OrderBy`, aggregation/`GROUP BY`,
-//! `UNION` (left arm first), and `SELECT *` (its header is
-//! data-dependent). Everything else streams.
+//! `SELECT *` (its header is data-dependent), and `Union`'s input (both
+//! arms replay it; the arms themselves stream). Everything else streams.
+//!
+//! Row order is that of a nested-loop join: an input row's extensions
+//! in index-scan order, before the next input row's. `Union` emits all
+//! left-arm rows, then all right-arm rows.
 //!
 //! [`PreparedQuery::rows`]: crate::PreparedQuery::rows
 
@@ -29,13 +32,12 @@ pub(crate) mod ops;
 
 use crate::sparql::ast::{GraphPattern, Projection, Query, QueryForm, VarOrIri, VarOrTerm};
 use crate::sparql::eval::{
-    apply_aggregates, estimate, eval_parallel_chunks, plan_bgp, plan_tp_of_ast,
-    plan_tp_of_resolved, resolve, Bindings, EvalCtx, EvalOptions, EvalState, PlanTp, QueryError,
-    RPattern, RTriple, Resolved, Solutions, VarTable, UNBOUND,
+    apply_aggregates, estimate, plan_bgp, plan_tp_of_ast, plan_tp_of_resolved, resolve, Bindings,
+    EvalOptions, PlanTp, QueryError, RPattern, RTriple, Resolved, Solutions, VarTable, UNBOUND,
 };
 use ops::{
-    AskGateOp, BoxIdOp, BoxSolOp, BufferedSolOp, ChunksOp, DistinctOp, FilterOp, JoinOp,
-    MaterialOp, OptionalOp, OrderByOp, ProjectOp, SeedOp, SliceOp, SpanIdOp, SpanSolOp, UnionOp,
+    AskGateOp, BoxIdOp, BoxSolOp, BufferedSolOp, DistinctOp, FilterOp, JoinOp, OptionalOp,
+    OrderByOp, ProjectOp, ReplayOp, SliceOp, SpanIdOp, SpanSolOp, UnionOp,
 };
 use provbench_obs::{Registry, LATENCY_BUCKETS};
 use provbench_rdf::Graph;
@@ -55,37 +57,117 @@ pub const ROWS_EMITTED_TOTAL: &str = "provbench_query_rows_emitted_total";
 /// [`EvalOptions::operator_spans`].
 pub const OPERATOR_SECONDS: &str = "provbench_query_operator_seconds";
 
+/// Per-evaluation cost accounting: every intermediate row produced is
+/// charged against the row budget, and the deadline is polled every
+/// `DEADLINE_STRIDE` rows so `Instant::now` stays off the hot path.
+pub(crate) struct EvalState {
+    produced: u64,
+    deadline: Option<Instant>,
+    row_budget: Option<u64>,
+}
+
+const DEADLINE_STRIDE: u64 = 1024;
+
+impl EvalState {
+    fn new(opts: &EvalOptions) -> Self {
+        EvalState {
+            produced: 0,
+            deadline: opts.deadline,
+            row_budget: opts.row_budget,
+        }
+    }
+
+    #[inline]
+    pub(crate) fn charge(&mut self) -> Result<(), QueryError> {
+        self.produced += 1;
+        if let Some(budget) = self.row_budget {
+            if self.produced > budget {
+                return Err(QueryError::Timeout(format!(
+                    "row budget of {budget} intermediate rows exhausted"
+                )));
+            }
+        }
+        if self.produced.is_multiple_of(DEADLINE_STRIDE) {
+            if let Some(deadline) = self.deadline {
+                if Instant::now() > deadline {
+                    return Err(QueryError::Timeout("deadline exceeded".into()));
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Shared execution context threaded through every operator: the graph,
-/// the planner toggle (OPTIONAL/UNION subtrees re-plan their inner
-/// BGPs), the deadline/row-budget accounting, and the optional span
-/// registry.
+/// the deadline/row-budget accounting, and the optional span registry.
 pub(crate) struct ExecCtx<'g> {
     pub(crate) graph: &'g Graph,
-    pub(crate) reorder: bool,
-    pub(crate) state: EvalState<'static>,
+    pub(crate) state: EvalState,
     pub(crate) spans: Option<&'g Registry>,
 }
 
 // ------------------------------------------------------------ lowering --
 
-/// Flatten nested groups into the sequential spine of pipeline stages,
-/// taking ownership so operators can move the subtrees in.
-fn flatten_owned(pattern: RPattern, out: &mut Vec<RPattern>) {
-    match pattern {
-        RPattern::Group(elems) => {
-            for e in elems {
-                flatten_owned(e, out);
-            }
-        }
-        other => out.push(other),
-    }
+/// Lowers one query's resolved pattern into id operators.
+struct Lowering<'g> {
+    graph: &'g Graph,
+    reorder: bool,
+    spans: bool,
+    /// No join is lowered yet: the next one is the pipeline's leading
+    /// scan.
+    leading: bool,
 }
 
-fn maybe_span_id<'g>(op: BoxIdOp<'g>, name: &'static str, spans: bool) -> BoxIdOp<'g> {
-    if spans {
-        Box::new(SpanIdOp::new(op, name))
-    } else {
-        op
+impl<'g> Lowering<'g> {
+    fn span(&self, op: BoxIdOp<'g>, name: &'static str) -> BoxIdOp<'g> {
+        if self.spans {
+            Box::new(SpanIdOp::new(op, name))
+        } else {
+            op
+        }
+    }
+
+    /// Lower `pattern` on top of `op`. Nested groups flatten onto the
+    /// chain, and each BGP becomes a chain of joins in planner order.
+    fn lower(&mut self, pattern: RPattern, mut op: BoxIdOp<'g>) -> BoxIdOp<'g> {
+        match pattern {
+            RPattern::Basic(tps) => {
+                let order: Vec<usize> = if self.reorder {
+                    let plan_tps: Vec<PlanTp> = tps
+                        .iter()
+                        .map(|tp| plan_tp_of_resolved(tp, self.graph))
+                        .collect();
+                    plan_bgp(&plan_tps).into_iter().map(|(i, _)| i).collect()
+                } else {
+                    (0..tps.len()).collect()
+                };
+                let mut slots: Vec<Option<RTriple>> = tps.into_iter().map(Some).collect();
+                for idx in order {
+                    let tp = slots[idx].take().expect("plan orders each pattern once");
+                    let name = if self.leading { "scan" } else { "join" };
+                    self.leading = false;
+                    op = self.span(Box::new(JoinOp::new(op, tp)), name);
+                }
+                op
+            }
+            RPattern::Group(elems) => elems.into_iter().fold(op, |op, e| self.lower(e, op)),
+            RPattern::Filter(expr) => self.span(Box::new(FilterOp::new(op, expr)), "filter"),
+            RPattern::Optional(body) => {
+                let body = self.subtree(*body);
+                self.span(Box::new(OptionalOp::new(op, body)), "optional")
+            }
+            RPattern::Union(left, right) => {
+                let arms = [self.subtree(*left), self.subtree(*right)];
+                self.span(Box::new(UnionOp::new(op, arms)), "union")
+            }
+        }
+    }
+
+    /// An OPTIONAL body or UNION arm: a chain over its own empty
+    /// [`ReplayOp`], which the owning operator re-seeds.
+    fn subtree(&mut self, pattern: RPattern) -> BoxIdOp<'g> {
+        self.leading = false;
+        self.lower(pattern, Box::new(ReplayOp::new(Vec::new())))
     }
 }
 
@@ -95,57 +177,6 @@ fn maybe_span_sol<'g>(op: BoxSolOp<'g>, name: &'static str, spans: bool) -> BoxS
     } else {
         op
     }
-}
-
-/// Lower the resolved pattern spine into the id-space operator chain,
-/// each BGP's joins in the same planner order the recursive evaluator
-/// would pick.
-fn lower_spine<'g>(
-    pattern: RPattern,
-    graph: &'g Graph,
-    reorder: bool,
-    nvars: usize,
-    spans: bool,
-) -> BoxIdOp<'g> {
-    let mut stages = Vec::new();
-    flatten_owned(pattern, &mut stages);
-    let mut op: BoxIdOp<'g> = Box::new(SeedOp::new(nvars));
-    let mut leading = true;
-    for stage in stages {
-        match stage {
-            RPattern::Basic(tps) => {
-                let order: Vec<usize> = if reorder {
-                    let plan_tps: Vec<PlanTp> = tps
-                        .iter()
-                        .map(|tp| plan_tp_of_resolved(tp, graph))
-                        .collect();
-                    plan_bgp(&plan_tps).into_iter().map(|(i, _)| i).collect()
-                } else {
-                    (0..tps.len()).collect()
-                };
-                let mut slots: Vec<Option<RTriple>> = tps.into_iter().map(Some).collect();
-                for idx in order {
-                    let tp = slots[idx].take().expect("plan orders each pattern once");
-                    let name = if leading { "scan" } else { "join" };
-                    leading = false;
-                    op = maybe_span_id(Box::new(JoinOp::new(op, tp)), name, spans);
-                }
-            }
-            RPattern::Filter(expr) => {
-                op = maybe_span_id(Box::new(FilterOp::new(op, expr)), "filter", spans);
-            }
-            RPattern::Optional(inner) => {
-                leading = false;
-                op = maybe_span_id(Box::new(OptionalOp::new(op, *inner)), "optional", spans);
-            }
-            RPattern::Union(l, r) => {
-                leading = false;
-                op = maybe_span_id(Box::new(UnionOp::new(op, *l, *r)), "union", spans);
-            }
-            RPattern::Group(_) => unreachable!("flatten_owned removed groups"),
-        }
-    }
-    op
 }
 
 fn projection_names(query: &Query) -> Vec<String> {
@@ -178,10 +209,9 @@ struct Built<'g> {
 
 /// Resolve, plan and lower `query` into an executable pipeline.
 ///
-/// Pipeline breakers run here, at construction: the parallel path (its
-/// chunks are evaluated eagerly on worker threads and drained in
-/// order), aggregation, and `SELECT *`'s header scan. Everything else
-/// is deferred to the first `next()` pull.
+/// Two pipeline breakers run here, at construction: aggregation and
+/// `SELECT *`'s header scan. Everything else is deferred to the first
+/// `next()` pull.
 fn build<'g>(
     graph: &'g Graph,
     query: &Query,
@@ -195,27 +225,20 @@ fn build<'g>(
         aggregates,
     } = resolve(query, graph)?;
     let nvars = vars.names.len();
-    let ctx = EvalCtx {
-        graph,
-        reorder: opts.reorder_patterns,
-    };
     let mut cx = ExecCtx {
         graph,
-        reorder: opts.reorder_patterns,
         state: EvalState::new(opts),
         spans: if opts.operator_spans { metrics } else { None },
     };
     let spans = cx.spans.is_some();
-
-    // Id-row source: the parallel chunk drain when jobs and the pattern
-    // shape allow it, else the streaming pipeline lowered from the
-    // spine. The parallel path charges its rows through its own shared
-    // cost state — exactly as before — so `cx.state` only meters the
-    // serial streaming path.
-    let source: BoxIdOp<'g> = match eval_parallel_chunks(&ctx, opts, &pattern, nvars, metrics)? {
-        Some(chunks) => maybe_span_id(Box::new(ChunksOp::new(chunks)), "chunks", spans),
-        None => lower_spine(pattern, graph, opts.reorder_patterns, nvars, spans),
-    };
+    let seed = Box::new(ReplayOp::new(vec![vec![UNBOUND; nvars]]));
+    let source = Lowering {
+        graph,
+        reorder: opts.reorder_patterns,
+        spans,
+        leading: true,
+    }
+    .lower(pattern, seed);
 
     let has_aggs = query.has_aggregates() || !query.group_by.is_empty();
     let variables: Vec<String>;
@@ -277,7 +300,7 @@ fn build<'g>(
         variables = names;
         let keep = keep_of(&variables, &vars);
         sol = maybe_span_sol(
-            Box::new(ProjectOp::new(Box::new(MaterialOp::new(id_rows)), keep)),
+            Box::new(ProjectOp::new(Box::new(ReplayOp::new(id_rows)), keep)),
             "project",
             spans,
         );
@@ -287,8 +310,7 @@ fn build<'g>(
         sol = maybe_span_sol(Box::new(ProjectOp::new(source, keep)), "project", spans);
     }
 
-    // Solution modifiers, in the same order the materializing evaluator
-    // applied them: DISTINCT → ORDER BY → OFFSET/LIMIT → ASK gate.
+    // Solution modifiers: DISTINCT → ORDER BY → OFFSET/LIMIT → ASK gate.
     if query.distinct {
         sol = maybe_span_sol(Box::new(DistinctOp::new(sol)), "distinct", spans);
     }
@@ -458,7 +480,7 @@ pub(crate) fn rows<'g>(
 }
 
 /// Evaluate to a fully-materialized [`Solutions`]: a collect over
-/// [`rows`]. This is the old `eval::run` contract, byte for byte.
+/// [`rows`].
 pub(crate) fn solutions(
     graph: &Graph,
     query: &Query,

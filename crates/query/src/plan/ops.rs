@@ -3,33 +3,34 @@
 //! Every operator exposes one method — `next()` — and pulls rows from
 //! its child on demand (the Volcano model). Nothing materializes unless
 //! an operator is a genuine pipeline breaker (`OrderBy`, aggregation,
-//! `SELECT *`'s data-dependent header), so a `LIMIT k` at the top of
-//! the pipeline stops the scans at the bottom after `k` rows and
-//! `ask()` stops after the first.
+//! `SELECT *`'s data-dependent header, `UNION`'s input), so a `LIMIT k`
+//! at the top of the pipeline stops the scans at the bottom after `k`
+//! rows and `ask()` stops after the first — inside OPTIONAL bodies and
+//! UNION arms too.
 //!
-//! Operators come in two row spaces, mirroring the evaluator's two
-//! stages:
+//! Operators come in two row spaces:
 //!
 //! - **Id operators** ([`IdOperator`]) stream compact [`IdRow`]s of
-//!   interned term ids: [`SeedOp`], [`JoinOp`] (a scan when its input
-//!   is the seed row, an indexed nested-loop join otherwise),
-//!   [`FilterOp`], [`OptionalOp`], [`UnionOp`], plus the buffered
-//!   sources [`ChunksOp`] (parallel chunk drain) and [`MaterialOp`].
+//!   interned term ids: [`ReplayOp`] (the source at the bottom of every
+//!   chain), [`JoinOp`] (a scan when its input is the seed row, an
+//!   indexed nested-loop join otherwise), [`FilterOp`], and the two
+//!   operators that own subtrees, [`OptionalOp`] and [`UnionOp`]. A
+//!   subtree is an ordinary operator chain over its own [`ReplayOp`],
+//!   lowered once per query and restarted on new input rows through
+//!   [`IdOperator::reseed`].
 //! - **Solution operators** ([`SolOperator`]) stream decoded
 //!   [`Bindings`]: [`ProjectOp`], [`BufferedSolOp`], [`DistinctOp`],
 //!   [`OrderByOp`], [`SliceOp`], [`AskGateOp`].
 //!
 //! The split keeps joins in id space (term decode happens exactly once,
-//! at projection) and keeps the solution modifiers in the same order
-//! the materializing evaluator applied them — projection, DISTINCT,
-//! ORDER BY, OFFSET/LIMIT — so a full drain of the pipeline is
-//! byte-identical to the old `run()`.
+//! at projection) and applies the solution modifiers in SPARQL's order —
+//! projection, DISTINCT, ORDER BY, OFFSET/LIMIT.
 
 use super::{ExecCtx, OPERATOR_SECONDS};
 use crate::sparql::ast::OrderKey;
 use crate::sparql::eval::{
-    bind_slot, compare_terms, effective_boolean, eval_expr, eval_pattern, slot_term, Bindings,
-    EvalCtx, IdRow, QueryError, RExpr, RPattern, RPos, RTriple, UNBOUND,
+    compare_terms, effective_boolean, eval_expr, slot_term, Bindings, IdRow, QueryError, RExpr,
+    RPos, RTriple, UNBOUND,
 };
 use provbench_obs::LATENCY_BUCKETS;
 use provbench_rdf::TermId;
@@ -40,6 +41,13 @@ use std::time::Instant;
 pub(crate) trait IdOperator<'g> {
     /// Produce the next row, or `None` when the stream is exhausted.
     fn next(&mut self, cx: &mut ExecCtx<'g>) -> Result<Option<IdRow>, QueryError>;
+
+    /// Restart the stream over new input: hand `rows` down the chain to
+    /// the [`ReplayOp`] at its bottom. OPTIONAL re-seeds its body with
+    /// each input row, UNION each arm with its buffered input — always
+    /// before the first pull or after `next()` returned `None`, when
+    /// every operator of the chain is back in its start state.
+    fn reseed(&mut self, rows: Vec<IdRow>);
 }
 
 pub(crate) type BoxIdOp<'g> = Box<dyn IdOperator<'g> + 'g>;
@@ -54,25 +62,48 @@ pub(crate) type BoxSolOp<'g> = Box<dyn SolOperator<'g> + 'g>;
 
 // -------------------------------------------------------- id operators --
 
-/// The evaluation seed: exactly one all-unbound row.
-pub(crate) struct SeedOp {
-    nvars: usize,
-    done: bool,
+/// The source of an id-row chain: replays the rows it was given. The
+/// main pipeline starts from one all-unbound seed row; `SELECT *`
+/// replays its materialized rows into the projection; subtrees start
+/// empty and are re-seeded by their owner.
+pub(crate) struct ReplayOp {
+    rows: std::vec::IntoIter<IdRow>,
 }
 
-impl SeedOp {
-    pub(crate) fn new(nvars: usize) -> Self {
-        SeedOp { nvars, done: false }
+impl ReplayOp {
+    pub(crate) fn new(rows: Vec<IdRow>) -> Self {
+        ReplayOp {
+            rows: rows.into_iter(),
+        }
     }
 }
 
-impl<'g> IdOperator<'g> for SeedOp {
+impl<'g> IdOperator<'g> for ReplayOp {
     fn next(&mut self, _cx: &mut ExecCtx<'g>) -> Result<Option<IdRow>, QueryError> {
-        if self.done {
-            return Ok(None);
+        Ok(self.rows.next())
+    }
+
+    fn reseed(&mut self, rows: Vec<IdRow>) {
+        self.rows = rows.into_iter();
+    }
+}
+
+/// Bind a scanned id into a row slot, or check consistency when the
+/// pattern repeats a variable.
+#[inline]
+fn bind_slot(row: &mut IdRow, pos: &RPos, id: TermId) -> bool {
+    match pos {
+        RPos::Var(v) => {
+            let raw = id.to_u32();
+            if row[*v] == UNBOUND {
+                row[*v] = raw;
+                true
+            } else {
+                row[*v] == raw
+            }
         }
-        self.done = true;
-        Ok(Some(vec![UNBOUND; self.nvars]))
+        // Ground positions were matched by the index scan itself.
+        RPos::Const(_) | RPos::Missing => true,
     }
 }
 
@@ -80,7 +111,8 @@ impl<'g> IdOperator<'g> for SeedOp {
 /// stream: for each input row, the pattern's positions are resolved to
 /// constants (ground terms and already-bound variables) and the graph's
 /// B-tree indexes are range-scanned for the rest. With the seed row as
-/// input this *is* the leading index scan of the pipeline.
+/// input this *is* the leading index scan of the pipeline. Every joined
+/// row is charged against the row budget.
 pub(crate) struct JoinOp<'g> {
     child: BoxIdOp<'g>,
     tp: RTriple,
@@ -142,6 +174,10 @@ impl<'g> IdOperator<'g> for JoinOp<'g> {
             self.row = row;
         }
     }
+
+    fn reseed(&mut self, rows: Vec<IdRow>) {
+        self.child.reseed(rows);
+    }
 }
 
 /// Keep only rows whose `FILTER` expression is effectively true.
@@ -170,25 +206,32 @@ impl<'g> IdOperator<'g> for FilterOp<'g> {
             }
         }
     }
+
+    fn reseed(&mut self, rows: Vec<IdRow>) {
+        self.child.reseed(rows);
+    }
 }
 
-/// `OPTIONAL`: extend each input row with the inner pattern's matches,
-/// passing the row through unchanged when there are none. The inner
-/// pattern is evaluated per input row through the recursive evaluator —
-/// exactly how the materializing path handled it — so a whole subtree
-/// (including nested UNIONs) rides behind one streaming operator.
+/// `OPTIONAL`: stream each input row's extensions by the body, or pass
+/// the row through unchanged — charged as one produced row — when the
+/// body has none. The body is re-seeded with one input row at a time.
 pub(crate) struct OptionalOp<'g> {
     child: BoxIdOp<'g>,
-    inner: RPattern,
-    buf: std::vec::IntoIter<IdRow>,
+    body: BoxIdOp<'g>,
+    /// The body is streaming the current input row's extensions.
+    probing: bool,
+    /// The current input row, until the body yields its first
+    /// extension: what passes through if it yields none.
+    unmatched: Option<IdRow>,
 }
 
 impl<'g> OptionalOp<'g> {
-    pub(crate) fn new(child: BoxIdOp<'g>, inner: RPattern) -> Self {
+    pub(crate) fn new(child: BoxIdOp<'g>, body: BoxIdOp<'g>) -> Self {
         OptionalOp {
             child,
-            inner,
-            buf: Vec::new().into_iter(),
+            body,
+            probing: false,
+            unmatched: None,
         }
     }
 }
@@ -196,49 +239,47 @@ impl<'g> OptionalOp<'g> {
 impl<'g> IdOperator<'g> for OptionalOp<'g> {
     fn next(&mut self, cx: &mut ExecCtx<'g>) -> Result<Option<IdRow>, QueryError> {
         loop {
-            if let Some(row) = self.buf.next() {
-                return Ok(Some(row));
+            if self.probing {
+                if let Some(row) = self.body.next(cx)? {
+                    self.unmatched = None;
+                    return Ok(Some(row));
+                }
+                self.probing = false;
+                if let Some(row) = self.unmatched.take() {
+                    cx.state.charge()?;
+                    return Ok(Some(row));
+                }
             }
             let Some(row) = self.child.next(cx)? else {
                 return Ok(None);
             };
-            let ctx = EvalCtx {
-                graph: cx.graph,
-                reorder: cx.reorder,
-            };
-            let extended = eval_pattern(&ctx, &mut cx.state, &self.inner, vec![row.clone()])?;
-            if extended.is_empty() {
-                cx.state.charge()?;
-                return Ok(Some(row));
-            }
-            self.buf = extended.into_iter();
+            self.body.reseed(vec![row.clone()]);
+            self.unmatched = Some(row);
+            self.probing = true;
         }
+    }
+
+    fn reseed(&mut self, rows: Vec<IdRow>) {
+        self.child.reseed(rows);
     }
 }
 
-/// `UNION`: all left-arm results, then all right-arm results. A
-/// pipeline breaker by construction — both arms need the *complete*
-/// upstream input, so it drains its child once and replays it through
-/// each arm (again via the recursive evaluator, preserving the
-/// materializing path's row order and charge accounting).
+/// `UNION`: all left-arm rows, then all right-arm rows. Both arms need
+/// the complete input, so the first pull drains the child into a buffer
+/// and re-seeds each arm with it; the arms then stream in turn.
 pub(crate) struct UnionOp<'g> {
-    child: Option<BoxIdOp<'g>>,
-    left: RPattern,
-    right: RPattern,
-    input: Vec<IdRow>,
-    buf: std::vec::IntoIter<IdRow>,
-    phase: u8,
+    child: BoxIdOp<'g>,
+    arms: [BoxIdOp<'g>; 2],
+    /// The arm being streamed; `None` until the input is buffered.
+    active: Option<usize>,
 }
 
 impl<'g> UnionOp<'g> {
-    pub(crate) fn new(child: BoxIdOp<'g>, left: RPattern, right: RPattern) -> Self {
+    pub(crate) fn new(child: BoxIdOp<'g>, arms: [BoxIdOp<'g>; 2]) -> Self {
         UnionOp {
-            child: Some(child),
-            left,
-            right,
-            input: Vec::new(),
-            buf: Vec::new().into_iter(),
-            phase: 0,
+            child,
+            arms,
+            active: None,
         }
     }
 }
@@ -246,83 +287,29 @@ impl<'g> UnionOp<'g> {
 impl<'g> IdOperator<'g> for UnionOp<'g> {
     fn next(&mut self, cx: &mut ExecCtx<'g>) -> Result<Option<IdRow>, QueryError> {
         loop {
-            if let Some(row) = self.buf.next() {
-                return Ok(Some(row));
-            }
-            let ctx = EvalCtx {
-                graph: cx.graph,
-                reorder: cx.reorder,
+            let Some(arm) = self.active else {
+                let mut input = Vec::new();
+                while let Some(r) = self.child.next(cx)? {
+                    input.push(r);
+                }
+                self.arms[0].reseed(input.clone());
+                self.arms[1].reseed(input);
+                self.active = Some(0);
+                continue;
             };
-            match self.phase {
-                0 => {
-                    let mut child = self.child.take().expect("union child taken once");
-                    let mut input = Vec::new();
-                    while let Some(r) = child.next(cx)? {
-                        input.push(r);
-                    }
-                    self.input = input;
-                    self.buf = eval_pattern(&ctx, &mut cx.state, &self.left, self.input.clone())?
-                        .into_iter();
-                    self.phase = 1;
-                }
-                1 => {
-                    let input = std::mem::take(&mut self.input);
-                    self.buf = eval_pattern(&ctx, &mut cx.state, &self.right, input)?.into_iter();
-                    self.phase = 2;
-                }
-                _ => return Ok(None),
-            }
-        }
-    }
-}
-
-/// Drain the parallel path's per-chunk result slabs **in chunk order**,
-/// which is what makes parallel output byte-identical to serial.
-pub(crate) struct ChunksOp {
-    chunks: std::vec::IntoIter<Vec<IdRow>>,
-    cur: std::vec::IntoIter<IdRow>,
-}
-
-impl ChunksOp {
-    pub(crate) fn new(chunks: Vec<Vec<IdRow>>) -> Self {
-        ChunksOp {
-            chunks: chunks.into_iter(),
-            cur: Vec::new().into_iter(),
-        }
-    }
-}
-
-impl<'g> IdOperator<'g> for ChunksOp {
-    fn next(&mut self, _cx: &mut ExecCtx<'g>) -> Result<Option<IdRow>, QueryError> {
-        loop {
-            if let Some(row) = self.cur.next() {
+            if let Some(row) = self.arms[arm].next(cx)? {
                 return Ok(Some(row));
             }
-            match self.chunks.next() {
-                Some(chunk) => self.cur = chunk.into_iter(),
-                None => return Ok(None),
+            if arm == 1 {
+                self.active = None;
+                return Ok(None);
             }
+            self.active = Some(1);
         }
     }
-}
 
-/// Replay an already-materialized id-row slab (`SELECT *`'s
-/// data-dependent header forces one).
-pub(crate) struct MaterialOp {
-    rows: std::vec::IntoIter<IdRow>,
-}
-
-impl MaterialOp {
-    pub(crate) fn new(rows: Vec<IdRow>) -> Self {
-        MaterialOp {
-            rows: rows.into_iter(),
-        }
-    }
-}
-
-impl<'g> IdOperator<'g> for MaterialOp {
-    fn next(&mut self, _cx: &mut ExecCtx<'g>) -> Result<Option<IdRow>, QueryError> {
-        Ok(self.rows.next())
+    fn reseed(&mut self, rows: Vec<IdRow>) {
+        self.child.reseed(rows);
     }
 }
 
@@ -376,10 +363,9 @@ impl<'g> SolOperator<'g> for BufferedSolOp {
     }
 }
 
-/// `DISTINCT`, streaming: emit each row the first time it is seen.
-/// First-occurrence order is exactly what the materializing
-/// `retain(insert)` kept, and under a `LIMIT` the pipeline stops once
-/// enough *distinct* rows came through.
+/// `DISTINCT`, streaming: emit each row the first time it is seen, so
+/// under a `LIMIT` the pipeline stops once enough *distinct* rows came
+/// through.
 pub(crate) struct DistinctOp<'g> {
     child: BoxSolOp<'g>,
     seen: BTreeSet<Bindings>,
@@ -408,10 +394,9 @@ impl<'g> SolOperator<'g> for DistinctOp<'g> {
 }
 
 /// `ORDER BY`: the pipeline breaker. Drains its child on the first
-/// pull, sorts with the same stable comparator as the materializing
-/// path (unbound keys first, `DESC` reverses per key), then streams the
-/// sorted rows — so `LIMIT` above still short-circuits the *emission*,
-/// though not the sort itself.
+/// pull, sorts stably (unbound keys first, `DESC` reverses per key),
+/// then streams the sorted rows — so `LIMIT` above still short-circuits
+/// the *emission*, though not the sort itself.
 pub(crate) struct OrderByOp<'g> {
     child: BoxSolOp<'g>,
     keys: Vec<OrderKey>,
@@ -549,6 +534,10 @@ impl<'g> IdOperator<'g> for SpanIdOp<'g> {
         let result = self.child.next(cx);
         observe_span(cx, self.name, start);
         result
+    }
+
+    fn reseed(&mut self, rows: Vec<IdRow>) {
+        self.child.reseed(rows);
     }
 }
 

@@ -7,9 +7,12 @@
 //! cargo run --example corpus_qa
 //! ```
 
-use provbench::analysis::{interop_report, lint_corpus, timeline_of};
+use provbench::analysis::{interop_report, timeline_of};
 use provbench::corpus::{Corpus, CorpusSpec};
+use provbench::diag::rules::profile::{TavernaProfile, WingsProfile};
+use provbench::diag::{FileContext, Registry};
 use provbench::prov::validate;
+use provbench::rdf::SpanTable;
 use provbench::workflow::System;
 
 fn main() {
@@ -27,11 +30,27 @@ fn main() {
     );
 
     // 1. Profile lint: every trace must follow its system's conventions.
-    let dirty = lint_corpus(&corpus);
+    let mut profiles = Registry::new();
+    profiles.register(Box::new(TavernaProfile));
+    profiles.register(Box::new(WingsProfile));
+    let spans = SpanTable::default();
+    let findings: usize = corpus
+        .traces
+        .iter()
+        .map(|t| {
+            let graph = t.union_graph();
+            let cx = FileContext {
+                path: None,
+                graph: &graph,
+                spans: &spans,
+                system: Some(t.system),
+            };
+            profiles.check(&cx).len()
+        })
+        .sum();
     println!(
-        "lint: {} traces checked, {} findings",
-        corpus.traces.len(),
-        dirty.len()
+        "lint: {} traces checked, {findings} findings",
+        corpus.traces.len()
     );
 
     // 2. PROV-CONSTRAINTS: temporal sanity, unique generation, acyclicity.

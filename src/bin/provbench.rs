@@ -330,13 +330,10 @@ fn cmd_query(o: &Options) -> Result<(), String> {
     let (graph, source) = corpus_graph(o)?;
     eprintln!("corpus: {source}");
     let full = format!("{PREFIXES}\n{q}");
-    // `--jobs` also parallelizes evaluation; results are byte-identical
-    // to a serial run whatever the count.
-    let eval_opts = provbench::query::EvalOptions::default().with_jobs(o.jobs.unwrap_or(1));
     // Stream rows to stdout as the physical plan produces them — a
     // LIMITed query over a huge corpus prints (and finishes) without
     // ever materializing the full result set.
-    let prepared = QueryEngine::with_options(&graph, eval_opts)
+    let prepared = QueryEngine::new(&graph)
         .prepare(&full)
         .map_err(|e| query_error(&full, e))?;
     let rows = prepared.rows().map_err(|e| query_error(&full, e))?;
@@ -356,10 +353,10 @@ fn cmd_query(o: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// The endpoint configuration shared by both serve modes: `--jobs` and
-/// the `--drain-ms` graceful-shutdown deadline.
+/// The endpoint configuration shared by both serve modes: the
+/// `--drain-ms` graceful-shutdown deadline.
 fn serve_config(o: &Options) -> ServerConfig {
-    let mut config = ServerConfig::new().eval_jobs(o.jobs.unwrap_or(1));
+    let mut config = ServerConfig::new();
     if let Some(ms) = o.drain_ms {
         config = config.drain_deadline(std::time::Duration::from_millis(ms));
     }
@@ -846,13 +843,13 @@ const USAGE: &str = "usage: provbench <command> [options]
             --explain prints one rule's catalog entry and exits)
   validate --dir DIR                            PROV-constraint-check a corpus dir
   query 'SPARQL' [--dir DIR | --seed N] [--jobs N]   run SPARQL over the corpus
-           (--jobs parallelizes evaluation; 0 = one per core, results
-            byte-identical to a serial run for any count)
+           (--jobs N: threads that parse the sources when --dir has no
+            valid snapshot)
            [--endpoint URL] sends the query to a served endpoint instead,
             with jittered retries on transient failures (docs/query.md)
   serve    [--addr HOST:PORT] [--dir DIR] [--jobs N] SPARQL endpoint + web UI
-           (with --dir: loads in the background; /healthz + /readyz report state;
-            --jobs sets per-request evaluation threads, default 1;
+           (with --dir: loads in the background on --jobs threads;
+            /healthz + /readyz report state;
             SIGTERM/Ctrl-C drains in-flight requests before exiting —
             --drain-ms MS bounds the drain, default 5000)
   nquads   --out FILE [--seed N]                bulk N-Quads export

@@ -1,12 +1,9 @@
 //! The planner must never change *what* a query answers — only how fast.
 //!
-//! Property-style equivalence suite: every exemplar query (Q1–Q6) and a
-//! batch of randomized basic graph patterns must produce byte-identical
-//! solution sequences with selectivity-ordered joins and with forced
-//! lexical (written-order) evaluation — and, since evaluation can now
-//! run across worker threads, byte-identical sequences again at every
-//! job count (the parallel path merges per-chunk results in chunk
-//! order, so thread scheduling must never leak into the output).
+//! Property-style equivalence suite: every exemplar query (Q1–Q6) must
+//! produce byte-identical solution sequences with selectivity-ordered
+//! joins and with forced lexical (written-order) evaluation, and a batch
+//! of randomized basic graph patterns the same solution multisets.
 
 use provbench::corpus::{Corpus, CorpusSpec};
 use provbench::query::exemplar::{
@@ -81,55 +78,6 @@ fn exemplar_queries_are_planner_invariant() {
         q6_sparql(&account),
     ] {
         assert_identical(&graph, &query);
-    }
-}
-
-/// Evaluate `query` at every job count in `jobs`; all results must be
-/// byte-identical (variables, rows, row order) to the serial run.
-fn assert_jobs_invariant(graph: &Graph, query: &str, jobs: &[usize]) {
-    let serial = QueryEngine::new(graph)
-        .prepare(query)
-        .and_then(|p| p.select())
-        .unwrap_or_else(|e| panic!("serial eval failed on {query}: {e}"));
-    for &n in jobs {
-        let parallel = QueryEngine::with_options(graph, EvalOptions::default().with_jobs(n))
-            .prepare(query)
-            .and_then(|p| p.select())
-            .unwrap_or_else(|e| panic!("jobs={n} failed on {query}: {e}"));
-        assert_eq!(
-            parallel.variables, serial.variables,
-            "variables differ at jobs={n} for {query}"
-        );
-        assert_eq!(
-            parallel.rows, serial.rows,
-            "rows differ at jobs={n} for {query}"
-        );
-    }
-}
-
-#[test]
-fn exemplar_queries_are_jobs_invariant() {
-    let corpus = corpus();
-    let graph = corpus.combined_graph();
-    let template = corpus.templates[0].1.name.clone();
-    let tav_run = Iri::new_unchecked(format!(
-        "{}workflow-run",
-        provbench::taverna::run_base_iri(&corpus.traces_of(System::Taverna).next().unwrap().run_id)
-    ));
-    let account =
-        provbench::wings::account_iri(&corpus.traces_of(System::Wings).next().unwrap().run_id);
-
-    for query in [
-        q1_sparql(),
-        q2_runs_sparql(&template),
-        q2_failed_sparql(&template),
-        q3_inputs_sparql(&template),
-        q3_outputs_sparql(&template),
-        q4_sparql(&tav_run),
-        q5_sparql(&tav_run),
-        q6_sparql(&account),
-    ] {
-        assert_jobs_invariant(&graph, &query, &[1, 2, 8]);
     }
 }
 
@@ -208,9 +156,6 @@ fn randomized_bgps_are_planner_invariant() {
             // Ties under ORDER BY keep join order, so the multiset is
             // the invariant for random queries either way.
             assert_same_rows(&graph, &query);
-            // Parallel evaluation at a fixed planner setting is a
-            // stronger invariant: byte-identical, row order included.
-            assert_jobs_invariant(&graph, &query, &[1, 2, 8]);
         }
         // Also check with ASK semantics every few rounds.
         if round % 5 == 0 {
