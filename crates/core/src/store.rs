@@ -1336,6 +1336,37 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The source fingerprint covers only the RDF under `taverna/` and
+    /// `wings/`. Files at the corpus root — the lint cache `serve`
+    /// writes there, `void.ttl`, `manifest.tsv` — never move it, so the
+    /// serve watcher does not rebuild after its own lint.
+    #[test]
+    fn root_files_do_not_move_the_source_fingerprint() {
+        let corpus = small_corpus();
+        let dir = tmpdir("root-files");
+        save(&corpus, &dir).unwrap();
+        let before = source_fingerprint(&dir).unwrap();
+        for name in [
+            crate::snapshot::LINT_SNAPSHOT_FILE,
+            "void.ttl",
+            "manifest.tsv",
+        ] {
+            for content in ["written\n", "changed, and longer\n"] {
+                fs::write(dir.join(name), content).unwrap();
+                assert_eq!(source_fingerprint(&dir).unwrap(), before, "{name}");
+            }
+        }
+        // A source file does move it.
+        let (system, template) = &corpus.templates[0];
+        let source = dir
+            .join(system.name().to_ascii_lowercase())
+            .join(&template.name)
+            .join(description_file(*system));
+        fs::write(source, "changed\n").unwrap();
+        assert_ne!(source_fingerprint(&dir).unwrap(), before);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn combined_dataset_from_disk_matches_memory() {
         let corpus = small_corpus();

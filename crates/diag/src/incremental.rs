@@ -16,23 +16,36 @@
 //! corpus fixpoint is *always* re-solved from the (cached or fresh)
 //! summaries, so its diagnostics are never persisted — which is what
 //! makes cold and warm output identical by construction.
+//!
+//! [`lint_corpus_incremental`] is the one lint driver: `provbench lint`
+//! in every mode and the `GET /lint` report of `provbench serve` run it.
 
 use crate::diagnostic::{Diagnostic, RelatedLocation, RuleInfo, Severity};
 use crate::rules::corpus::check_corpus;
 use crate::rules::Registry;
-use crate::runner::{collect_rdf_files, corpus_label, lint_content, FileReport};
+use crate::runner::{
+    check_graph, collect_rdf_files, corpus_label, parse_spanned, severity_counts, FileReport,
+};
 use crate::summary::{AnalysisSummary, EventKind, SummaryEdge};
 use provbench_core::snapshot::{
     decode_lint, encode_lint, DiagnosticRecord, EventEdgeRecord, LintCache, LintEntry,
     RelatedRecord, SummaryRecord, LINT_SNAPSHOT_FILE,
 };
-use provbench_rdf::{parse_trig_spanned, parse_turtle_spanned, Graph, Iri, Span, SpanTable};
+use provbench_rdf::{Iri, Span};
 use provbench_workflow::execution::fnv1a;
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::time::Instant;
+
+/// Histogram of per-file lint (read+parse+rules) times, observed for
+/// each analyzed file.
+const LINT_FILE_SECONDS: &str = "provbench_lint_file_seconds";
+/// Counter of findings in a run's final reports
+/// (`severity="error"|"warning"|"info"`).
+const LINT_FINDINGS_TOTAL: &str = "provbench_lint_findings_total";
 
 /// How a corpus lint run should behave.
 #[derive(Clone, Debug)]
@@ -237,25 +250,12 @@ struct FileAnalysis {
 /// Parse one document and run the per-file rules *and* the summary
 /// extraction in a single pass over the same graph.
 fn analyze_content(label: &str, content: &str, registry: &Registry) -> FileAnalysis {
-    let parsed: Result<(Graph, SpanTable), _> = if label.ends_with(".trig") {
-        parse_trig_spanned(content).map(|(ds, _, spans)| (ds.union_graph(), spans))
-    } else {
-        parse_turtle_spanned(content).map(|(g, _, spans)| (g, spans))
-    };
-    let (summary, diagnostics) = match parsed {
-        Err(_) => (
-            AnalysisSummary::default(),
-            lint_content(label, content, registry),
+    let (summary, diagnostics) = match parse_spanned(label, content) {
+        Err(d) => (AnalysisSummary::default(), vec![*d]),
+        Ok((graph, spans)) => (
+            AnalysisSummary::of_graph(&graph),
+            check_graph(label, &graph, &spans, registry),
         ),
-        Ok((graph, spans)) => {
-            let cx = crate::rules::FileContext {
-                path: Some(label),
-                graph: &graph,
-                spans: &spans,
-                system: crate::runner::detect_system(&graph),
-            };
-            (AnalysisSummary::of_graph(&graph), registry.check(&cx))
-        }
     };
     FileAnalysis {
         label: label.to_owned(),
@@ -290,9 +290,9 @@ fn save_cache(path: &Path, cache: &LintCache) -> io::Result<()> {
     std::fs::rename(&tmp, path)
 }
 
-/// Lint everything under `root` with optional corpus rules and optional
-/// snapshot-backed incrementality. This is the engine behind
-/// `provbench lint --corpus-rules --incremental`.
+/// Lint every file [`collect_rdf_files`] finds under `root`, each under
+/// its [`corpus_label`], with optional corpus rules and optional
+/// snapshot-backed incrementality. This is the one lint driver.
 ///
 /// Guarantees:
 ///
@@ -336,10 +336,17 @@ pub fn lint_corpus_incremental(
     // worker threads; results re-ordered by input index afterwards. A
     // hit *moves* its entry out of the cache — warm replay never clones
     // the cached strings.
+    let obs = provbench_obs::global();
+    let file_seconds = obs.histogram(
+        LINT_FILE_SECONDS,
+        "Per-file lint (read+parse+rules) time",
+        provbench_obs::LATENCY_BUCKETS,
+    );
     let labels: Vec<String> = files.iter().map(|p| corpus_label(root, p)).collect();
     let process = |i: usize| -> FileAnalysis {
         let (path, label) = (&files[i], &labels[i]);
-        match std::fs::read_to_string(path) {
+        let start = Instant::now();
+        let analysis = match std::fs::read_to_string(path) {
             Ok(content) => {
                 let fingerprint = fnv1a(content.as_bytes());
                 let hit = cached
@@ -347,10 +354,10 @@ pub fn lint_corpus_incremental(
                     .expect("no poisoned workers")
                     .remove(label)
                     .filter(|e| e.fingerprint == fingerprint);
-                match hit.and_then(|e| replay_entry(e, &rule_map)) {
-                    Some(replayed) => replayed,
-                    None => analyze_content(label, &content, registry),
+                if let Some(replayed) = hit.and_then(|e| replay_entry(e, &rule_map)) {
+                    return replayed;
                 }
+                analyze_content(label, &content, registry)
             }
             Err(e) => FileAnalysis {
                 label: label.clone(),
@@ -363,7 +370,9 @@ pub fn lint_corpus_incremental(
                 .with_file(label)],
                 fresh: true,
             },
-        }
+        };
+        file_seconds.observe_duration(start.elapsed());
+        analysis
     };
     let jobs = opts.jobs.max(1).min(files.len().max(1));
     let analyses: Vec<FileAnalysis> = if jobs <= 1 {
@@ -396,7 +405,6 @@ pub fn lint_corpus_incremental(
 
     let analyzed = analyses.iter().filter(|a| a.fresh).count();
     let reused = analyses.len() - analyzed;
-    let obs = provbench_obs::global();
     for (mode, count) in [("analyzed", analyzed), ("replayed", reused)] {
         if count > 0 {
             obs.counter_with(
@@ -453,6 +461,17 @@ pub fn lint_corpus_incremental(
     if opts.corpus_rules {
         apply_corpus_rules(&mut reports, &entries);
     }
+    let (errors, warnings, infos) = severity_counts(&reports);
+    for (severity, count) in [("error", errors), ("warning", warnings), ("info", infos)] {
+        if count > 0 {
+            obs.counter_with(
+                LINT_FINDINGS_TOTAL,
+                "Lint diagnostics emitted, by severity",
+                &[("severity", severity)],
+            )
+            .add(count as u64);
+        }
+    }
 
     Ok(CorpusLintOutcome {
         reports,
@@ -465,10 +484,8 @@ pub fn lint_corpus_incremental(
 
 /// Solve the corpus fixpoint over `entries` and merge the resulting
 /// `PB021x` diagnostics into per-file reports (matched by label; a
-/// diagnostic whose label has no report gets a fresh one). Used both by
-/// the incremental engine and by callers that already hold parsed
-/// graphs (`lint --dir`, the serve loader, the in-memory corpus).
-pub fn apply_corpus_rules(reports: &mut Vec<FileReport>, entries: &[(String, AnalysisSummary)]) {
+/// diagnostic whose label has no report gets a fresh one).
+fn apply_corpus_rules(reports: &mut Vec<FileReport>, entries: &[(String, AnalysisSummary)]) {
     for d in check_corpus(entries) {
         let target = d.file.as_deref().unwrap_or_default().to_owned();
         match reports.iter_mut().find(|r| r.path == target) {

@@ -8,9 +8,10 @@
 //!
 //! The pipeline is:
 //!
-//! 1. [`runner`] discovers `.ttl`/`.trig`/`.nt` files, parses each with
-//!    span recording on, and runs the [`Registry`] over a
-//!    [`FileContext`] — in parallel, with deterministic output order.
+//! 1. [`lint_corpus_incremental`] discovers `.ttl`/`.trig`/`.nt` files
+//!    ([`runner`]), parses each with span recording on, and runs the
+//!    [`Registry`] over a [`FileContext`] — in parallel, with
+//!    deterministic output order. Every lint entry point runs it.
 //! 2. [`baseline`] subtracts a committed set of accepted-finding
 //!    fingerprints so CI fails only on *new* findings.
 //! 3. [`render`] serializes the surviving reports as human text, JSON
@@ -39,13 +40,12 @@ pub use baseline::{apply_baseline, format_baseline, parse_baseline};
 pub use catalog::{all_rule_docs, rule_doc, RuleDoc};
 pub use diagnostic::{Diagnostic, RelatedLocation, RuleInfo, Severity};
 pub use incremental::{
-    apply_corpus_rules, catalog_fingerprint, lint_corpus_incremental, CorpusLintOptions,
-    CorpusLintOutcome,
+    catalog_fingerprint, lint_corpus_incremental, CorpusLintOptions, CorpusLintOutcome,
 };
 pub use render::{render_jsonl, render_lint_json, render_sarif, render_text};
 pub use rules::{corpus::check_corpus, FileContext, Registry, Rule};
 pub use runner::{
-    collect_rdf_files, corpus_label, default_jobs, detect_system, lint_content, lint_files,
-    lint_files_labeled, lint_graph, lint_path, severity_counts, FileReport,
+    collect_rdf_files, corpus_label, default_jobs, detect_system, lint_content, severity_counts,
+    FileReport,
 };
 pub use summary::AnalysisSummary;

@@ -1,5 +1,6 @@
-//! The corpus-wide lint runner: file discovery, parallel execution over a
-//! thread pool, and deterministic result ordering.
+//! The per-file half of a lint: file discovery, corpus labels, and the
+//! spanned parse plus rule run over one document. The corpus driver
+//! that puts them together is [`crate::incremental`].
 
 use crate::diagnostic::{Diagnostic, Severity};
 use crate::rules::{FileContext, Registry, PARSE_ERROR};
@@ -8,19 +9,11 @@ use provbench_vocab::{opmw, wfdesc, wfprov};
 use provbench_workflow::System;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::Instant;
-
-/// Histogram of per-file lint (read+parse+rules) times.
-const LINT_FILE_SECONDS: &str = "provbench_lint_file_seconds";
-/// Counter of emitted diagnostics (`severity="error"|"warning"|"info"`).
-const LINT_FINDINGS_TOTAL: &str = "provbench_lint_findings_total";
 
 /// Lint results for one file, diagnostics in deterministic order.
 #[derive(Clone, Debug)]
 pub struct FileReport {
-    /// The file's path as given to the runner.
+    /// The file's label (see [`corpus_label`]).
     pub path: String,
     /// All (unsuppressed) diagnostics for the file.
     pub diagnostics: Vec<Diagnostic>,
@@ -33,7 +26,7 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Whether the runner recognises this path as a lintable RDF file.
+/// Whether the linter recognises this path as an RDF file.
 pub fn is_rdf_file(path: &Path) -> bool {
     matches!(
         path.extension().and_then(|e| e.to_str()),
@@ -97,63 +90,50 @@ pub fn detect_system(graph: &Graph) -> Option<System> {
     }
 }
 
-/// Lint one in-memory document. `label` decides the concrete syntax
-/// (`.trig` parses as TriG, anything else as Turtle) and is attached to
-/// every diagnostic as the file path.
-pub fn lint_content(label: &str, content: &str, registry: &Registry) -> Vec<Diagnostic> {
-    let parsed: Result<(Graph, SpanTable), _> = if label.ends_with(".trig") {
+/// Parse one document with span recording: `.trig` labels parse as
+/// TriG (its graphs merged), anything else as Turtle. A syntax error
+/// becomes a spanned `PB0001` diagnostic.
+pub(crate) fn parse_spanned(
+    label: &str,
+    content: &str,
+) -> Result<(Graph, SpanTable), Box<Diagnostic>> {
+    let parsed = if label.ends_with(".trig") {
         parse_trig_spanned(content).map(|(ds, _, spans)| (ds.union_graph(), spans))
     } else {
         parse_turtle_spanned(content).map(|(g, _, spans)| (g, spans))
     };
-    match parsed {
-        Err(e) => {
-            vec![
-                Diagnostic::new(&PARSE_ERROR, format!("syntax error: {}", e.message))
-                    .with_file(label)
-                    .with_span(Some(Span::point(e.line, e.column))),
-            ]
-        }
-        Ok((graph, spans)) => {
-            let cx = FileContext {
-                path: Some(label),
-                graph: &graph,
-                spans: &spans,
-                system: detect_system(&graph),
-            };
-            registry.check(&cx)
-        }
-    }
+    parsed.map_err(|e| {
+        Box::new(
+            Diagnostic::new(&PARSE_ERROR, format!("syntax error: {}", e.message))
+                .with_file(label)
+                .with_span(Some(Span::point(e.line, e.column))),
+        )
+    })
 }
 
-/// Lint an already-parsed graph, e.g. one memory-loaded from a binary
-/// corpus snapshot where no concrete syntax (and hence no span table)
-/// exists. Diagnostics carry `label` as their file and no source spans.
-pub fn lint_graph(label: &str, graph: &Graph, registry: &Registry) -> Vec<Diagnostic> {
-    let start = Instant::now();
-    let spans = SpanTable::new();
-    let cx = FileContext {
+/// Run every rule of `registry` over one parsed document.
+pub(crate) fn check_graph(
+    label: &str,
+    graph: &Graph,
+    spans: &SpanTable,
+    registry: &Registry,
+) -> Vec<Diagnostic> {
+    registry.check(&FileContext {
         path: Some(label),
         graph,
-        spans: &spans,
+        spans,
         system: detect_system(graph),
-    };
-    let diagnostics = registry.check(&cx);
-    let obs = provbench_obs::global();
-    obs.histogram(
-        LINT_FILE_SECONDS,
-        "Per-file lint (read+parse+rules) time",
-        provbench_obs::LATENCY_BUCKETS,
-    )
-    .observe_duration(start.elapsed());
-    obs.counter_with(
-        "provbench_lint_files_total",
-        "Files linted, by mode (cold analysis vs snapshot replay)",
-        &[("mode", "graph")],
-    )
-    .inc();
-    record_findings(obs, &diagnostics);
-    diagnostics
+    })
+}
+
+/// Lint one in-memory document. `label` decides the concrete syntax
+/// (`.trig` parses as TriG, anything else as Turtle) and is attached to
+/// every diagnostic as the file path.
+pub fn lint_content(label: &str, content: &str, registry: &Registry) -> Vec<Diagnostic> {
+    match parse_spanned(label, content) {
+        Err(d) => vec![*d],
+        Ok((graph, spans)) => check_graph(label, &graph, &spans, registry),
+    }
 }
 
 /// The label a corpus file is linted under: the corpus directory's own
@@ -174,107 +154,6 @@ pub fn corpus_label(root: &Path, path: &Path) -> String {
         }
         _ => normalize(path),
     }
-}
-
-fn lint_file(path: &Path, label: &str, registry: &Registry) -> FileReport {
-    let start = Instant::now();
-    let diagnostics = match std::fs::read_to_string(path) {
-        Ok(content) => lint_content(label, &content, registry),
-        Err(e) => {
-            vec![Diagnostic::new(&PARSE_ERROR, format!("cannot read file: {e}")).with_file(label)]
-        }
-    };
-    let obs = provbench_obs::global();
-    obs.histogram(
-        LINT_FILE_SECONDS,
-        "Per-file lint (read+parse+rules) time",
-        provbench_obs::LATENCY_BUCKETS,
-    )
-    .observe_duration(start.elapsed());
-    record_findings(obs, &diagnostics);
-    FileReport {
-        path: label.to_owned(),
-        diagnostics,
-    }
-}
-
-/// Count `diagnostics` into the severity-labelled findings counter.
-pub(crate) fn record_findings(obs: &provbench_obs::Registry, diagnostics: &[Diagnostic]) {
-    for severity in [Severity::Error, Severity::Warning, Severity::Info] {
-        let n = diagnostics
-            .iter()
-            .filter(|d| d.severity == severity)
-            .count();
-        if n > 0 {
-            let label = match severity {
-                Severity::Error => "error",
-                Severity::Warning => "warning",
-                Severity::Info => "info",
-            };
-            obs.counter_with(
-                LINT_FINDINGS_TOTAL,
-                "Lint diagnostics emitted, by severity",
-                &[("severity", label)],
-            )
-            .add(n as u64);
-        }
-    }
-}
-
-/// Lint a set of files over `jobs` worker threads. Results come back in
-/// input order regardless of which worker finished first. Diagnostics
-/// carry the file's path as given.
-pub fn lint_files(files: &[PathBuf], registry: &Registry, jobs: usize) -> Vec<FileReport> {
-    let labeled: Vec<(PathBuf, String)> = files
-        .iter()
-        .map(|p| (p.clone(), p.to_string_lossy().into_owned()))
-        .collect();
-    lint_files_labeled(&labeled, registry, jobs)
-}
-
-/// Like [`lint_files`], but each file carries an explicit label to lint
-/// under (attached to diagnostics and used as the report path).
-pub fn lint_files_labeled(
-    files: &[(PathBuf, String)],
-    registry: &Registry,
-    jobs: usize,
-) -> Vec<FileReport> {
-    let jobs = jobs.max(1).min(files.len().max(1));
-    let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<(usize, FileReport)>> = Mutex::new(Vec::with_capacity(files.len()));
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= files.len() {
-                    break;
-                }
-                let (path, label) = &files[i];
-                let report = lint_file(path, label, registry);
-                results
-                    .lock()
-                    .expect("no poisoned workers")
-                    .push((i, report));
-            });
-        }
-    });
-    let mut results = results.into_inner().expect("workers joined");
-    results.sort_by_key(|(i, _)| *i);
-    results.into_iter().map(|(_, r)| r).collect()
-}
-
-/// Discover and lint everything under `root` (a file or a directory).
-/// Files are linted under their [`corpus_label`].
-pub fn lint_path(root: &Path, registry: &Registry, jobs: usize) -> io::Result<Vec<FileReport>> {
-    let files = collect_rdf_files(root)?;
-    let labeled: Vec<(PathBuf, String)> = files
-        .into_iter()
-        .map(|p| {
-            let label = corpus_label(root, &p);
-            (p, label)
-        })
-        .collect();
-    Ok(lint_files_labeled(&labeled, registry, jobs))
 }
 
 /// `(errors, warnings, infos)` across all reports, after suppression.

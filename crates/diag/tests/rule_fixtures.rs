@@ -40,31 +40,6 @@ fn check_pair(id: &str, bad: &str, good: &str) {
 }
 
 #[test]
-fn lint_graph_matches_lint_content_without_spans() {
-    // A snapshot-loaded graph lints like the parsed document, minus the
-    // source spans (which only exist for concrete syntax).
-    let doc = format!(
-        "{PREFIXES}\nex:a prov:startedAtTime \"2013-01-01T00:00:10Z\"^^xsd:dateTime ;\n\
-         prov:endedAtTime \"2013-01-01T00:00:00Z\"^^xsd:dateTime ."
-    );
-    let registry = Registry::with_default_rules();
-    let from_content = lint_content("run.ttl", &doc, &registry);
-    let (graph, _) = provbench_rdf::parse_turtle(&doc).unwrap();
-    let from_graph = provbench_diag::lint_graph("run.ttl", &graph, &registry);
-    let ids = |diags: &[Diagnostic]| {
-        let mut v: Vec<&str> = diags.iter().map(|d| d.rule.id).collect();
-        v.sort_unstable();
-        v
-    };
-    assert_eq!(ids(&from_content), ids(&from_graph));
-    assert!(from_graph.iter().any(|d| d.rule.id == "PB0101"));
-    assert!(from_graph.iter().all(|d| d.span.is_none()));
-    assert!(from_graph
-        .iter()
-        .all(|d| d.file.as_deref() == Some("run.ttl")));
-}
-
-#[test]
 fn pb0001_parse_error() {
     let diags = lint_content(
         "bad.ttl",

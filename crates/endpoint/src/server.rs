@@ -517,13 +517,6 @@ impl Endpoint {
         }
     }
 
-    /// Record where the served graph came from; surfaced in `/stats`.
-    #[deprecated(note = "use ServerConfig::source, or replace_graph's source argument")]
-    pub fn with_source(self, source: impl Into<String>) -> Self {
-        *lock(&self.source) = Some(Arc::from(source.into()));
-        self
-    }
-
     /// Atomically publish a new graph and mark the endpoint ready. In
     /// flight requests keep their `Arc` to the old graph; new requests
     /// see the new one. Clears the rebuilding flag.

@@ -37,7 +37,7 @@ use crate::sparql::eval::{
 };
 use ops::{
     AskGateOp, BoxIdOp, BoxSolOp, BufferedSolOp, DistinctOp, FilterOp, JoinOp, OptionalOp,
-    OrderByOp, ProjectOp, ReplayOp, SliceOp, SpanIdOp, SpanSolOp, UnionOp,
+    OrderByOp, ProjectOp, ReplayOp, SliceOp, UnionOp,
 };
 use provbench_obs::{Registry, LATENCY_BUCKETS};
 use provbench_rdf::Graph;
@@ -52,10 +52,6 @@ pub(crate) const EVALS_TOTAL: &str = "provbench_query_evals_total";
 /// Counter of solution rows emitted by evaluations. Public so callers
 /// (the endpoint's `/stats`) can read the same series they feed.
 pub const ROWS_EMITTED_TOTAL: &str = "provbench_query_rows_emitted_total";
-/// Histogram of per-operator `next()` times, labelled by operator
-/// (`op="scan"|"join"|...`); recorded only under
-/// [`EvalOptions::operator_spans`].
-pub const OPERATOR_SECONDS: &str = "provbench_query_operator_seconds";
 
 /// Per-evaluation cost accounting: every intermediate row produced is
 /// charged against the row budget, and the deadline is polled every
@@ -98,12 +94,11 @@ impl EvalState {
     }
 }
 
-/// Shared execution context threaded through every operator: the graph,
-/// the deadline/row-budget accounting, and the optional span registry.
+/// Shared execution context threaded through every operator: the graph
+/// and the deadline/row-budget accounting.
 pub(crate) struct ExecCtx<'g> {
     pub(crate) graph: &'g Graph,
     pub(crate) state: EvalState,
-    pub(crate) spans: Option<&'g Registry>,
 }
 
 // ------------------------------------------------------------ lowering --
@@ -112,24 +107,12 @@ pub(crate) struct ExecCtx<'g> {
 struct Lowering<'g> {
     graph: &'g Graph,
     reorder: bool,
-    spans: bool,
-    /// No join is lowered yet: the next one is the pipeline's leading
-    /// scan.
-    leading: bool,
 }
 
 impl<'g> Lowering<'g> {
-    fn span(&self, op: BoxIdOp<'g>, name: &'static str) -> BoxIdOp<'g> {
-        if self.spans {
-            Box::new(SpanIdOp::new(op, name))
-        } else {
-            op
-        }
-    }
-
     /// Lower `pattern` on top of `op`. Nested groups flatten onto the
     /// chain, and each BGP becomes a chain of joins in planner order.
-    fn lower(&mut self, pattern: RPattern, mut op: BoxIdOp<'g>) -> BoxIdOp<'g> {
+    fn lower(&self, pattern: RPattern, mut op: BoxIdOp<'g>) -> BoxIdOp<'g> {
         match pattern {
             RPattern::Basic(tps) => {
                 let order: Vec<usize> = if self.reorder {
@@ -144,38 +127,27 @@ impl<'g> Lowering<'g> {
                 let mut slots: Vec<Option<RTriple>> = tps.into_iter().map(Some).collect();
                 for idx in order {
                     let tp = slots[idx].take().expect("plan orders each pattern once");
-                    let name = if self.leading { "scan" } else { "join" };
-                    self.leading = false;
-                    op = self.span(Box::new(JoinOp::new(op, tp)), name);
+                    op = Box::new(JoinOp::new(op, tp));
                 }
                 op
             }
             RPattern::Group(elems) => elems.into_iter().fold(op, |op, e| self.lower(e, op)),
-            RPattern::Filter(expr) => self.span(Box::new(FilterOp::new(op, expr)), "filter"),
+            RPattern::Filter(expr) => Box::new(FilterOp::new(op, expr)),
             RPattern::Optional(body) => {
                 let body = self.subtree(*body);
-                self.span(Box::new(OptionalOp::new(op, body)), "optional")
+                Box::new(OptionalOp::new(op, body))
             }
             RPattern::Union(left, right) => {
                 let arms = [self.subtree(*left), self.subtree(*right)];
-                self.span(Box::new(UnionOp::new(op, arms)), "union")
+                Box::new(UnionOp::new(op, arms))
             }
         }
     }
 
     /// An OPTIONAL body or UNION arm: a chain over its own empty
     /// [`ReplayOp`], which the owning operator re-seeds.
-    fn subtree(&mut self, pattern: RPattern) -> BoxIdOp<'g> {
-        self.leading = false;
+    fn subtree(&self, pattern: RPattern) -> BoxIdOp<'g> {
         self.lower(pattern, Box::new(ReplayOp::new(Vec::new())))
-    }
-}
-
-fn maybe_span_sol<'g>(op: BoxSolOp<'g>, name: &'static str, spans: bool) -> BoxSolOp<'g> {
-    if spans {
-        Box::new(SpanSolOp::new(op, name))
-    } else {
-        op
     }
 }
 
@@ -212,12 +184,7 @@ struct Built<'g> {
 /// Two pipeline breakers run here, at construction: aggregation and
 /// `SELECT *`'s header scan. Everything else is deferred to the first
 /// `next()` pull.
-fn build<'g>(
-    graph: &'g Graph,
-    query: &Query,
-    opts: &EvalOptions,
-    metrics: Option<&'g Registry>,
-) -> Result<Built<'g>, QueryError> {
+fn build<'g>(graph: &'g Graph, query: &Query, opts: &EvalOptions) -> Result<Built<'g>, QueryError> {
     let Resolved {
         vars,
         pattern,
@@ -228,15 +195,11 @@ fn build<'g>(
     let mut cx = ExecCtx {
         graph,
         state: EvalState::new(opts),
-        spans: if opts.operator_spans { metrics } else { None },
     };
-    let spans = cx.spans.is_some();
     let seed = Box::new(ReplayOp::new(vec![vec![UNBOUND; nvars]]));
     let source = Lowering {
         graph,
         reorder: opts.reorder_patterns,
-        spans,
-        leading: true,
     }
     .lower(pattern, seed);
 
@@ -247,11 +210,7 @@ fn build<'g>(
         // ASK needs no decoded projection — stream empty rows and let
         // the gate stop at the first one.
         variables = Vec::new();
-        sol = maybe_span_sol(
-            Box::new(ProjectOp::new(source, Vec::new())),
-            "project",
-            spans,
-        );
+        sol = Box::new(ProjectOp::new(source, Vec::new()));
     } else if has_aggs {
         // Grouping needs every input row: drain the source now.
         let mut src = source;
@@ -272,7 +231,7 @@ fn build<'g>(
         for row in &mut rows {
             row.retain(|k, _| variables.contains(k));
         }
-        sol = maybe_span_sol(Box::new(BufferedSolOp::new(rows)), "aggregate", spans);
+        sol = Box::new(BufferedSolOp::new(rows));
     } else if query.projections.is_empty() {
         // SELECT *: the header (variables bound in at least one row,
         // sorted) is data-dependent, so the id rows materialize first.
@@ -299,37 +258,25 @@ fn build<'g>(
         names.sort();
         variables = names;
         let keep = keep_of(&variables, &vars);
-        sol = maybe_span_sol(
-            Box::new(ProjectOp::new(Box::new(ReplayOp::new(id_rows)), keep)),
-            "project",
-            spans,
-        );
+        sol = Box::new(ProjectOp::new(Box::new(ReplayOp::new(id_rows)), keep));
     } else {
         variables = projection_names(query);
         let keep = keep_of(&variables, &vars);
-        sol = maybe_span_sol(Box::new(ProjectOp::new(source, keep)), "project", spans);
+        sol = Box::new(ProjectOp::new(source, keep));
     }
 
     // Solution modifiers: DISTINCT → ORDER BY → OFFSET/LIMIT → ASK gate.
     if query.distinct {
-        sol = maybe_span_sol(Box::new(DistinctOp::new(sol)), "distinct", spans);
+        sol = Box::new(DistinctOp::new(sol));
     }
     if !query.order_by.is_empty() {
-        sol = maybe_span_sol(
-            Box::new(OrderByOp::new(sol, query.order_by.clone())),
-            "orderby",
-            spans,
-        );
+        sol = Box::new(OrderByOp::new(sol, query.order_by.clone()));
     }
     if query.offset > 0 || query.limit.is_some() {
-        sol = maybe_span_sol(
-            Box::new(SliceOp::new(sol, query.offset, query.limit)),
-            "slice",
-            spans,
-        );
+        sol = Box::new(SliceOp::new(sol, query.offset, query.limit));
     }
     if query.form == QueryForm::Ask {
-        sol = maybe_span_sol(Box::new(AskGateOp::new(sol)), "ask", spans);
+        sol = Box::new(AskGateOp::new(sol));
     }
 
     Ok(Built {
@@ -459,7 +406,7 @@ pub(crate) fn rows<'g>(
     metrics: Option<&'g Registry>,
 ) -> Result<Rows<'g>, QueryError> {
     let started = Instant::now();
-    match build(graph, query, opts, metrics) {
+    match build(graph, query, opts) {
         Ok(built) => Ok(Rows {
             cx: built.cx,
             op: built.op,

@@ -26,16 +26,14 @@
 //! at projection) and applies the solution modifiers in SPARQL's order —
 //! projection, DISTINCT, ORDER BY, OFFSET/LIMIT.
 
-use super::{ExecCtx, OPERATOR_SECONDS};
+use super::ExecCtx;
 use crate::sparql::ast::OrderKey;
 use crate::sparql::eval::{
     compare_terms, effective_boolean, eval_expr, slot_term, Bindings, IdRow, QueryError, RExpr,
     RPos, RTriple, UNBOUND,
 };
-use provbench_obs::LATENCY_BUCKETS;
 use provbench_rdf::TermId;
 use std::collections::BTreeSet;
-use std::time::Instant;
 
 /// A pull-based operator over compact id rows.
 pub(crate) trait IdOperator<'g> {
@@ -506,71 +504,5 @@ impl<'g> SolOperator<'g> for AskGateOp<'g> {
         }
         self.done = true;
         Ok(self.child.next(cx)?.map(|_| Bindings::new()))
-    }
-}
-
-// --------------------------------------------------------------- spans --
-
-/// Per-operator timing wrapper ([`EvalOptions::operator_spans`]): every
-/// `next()` call records one `provbench_query_operator_seconds{op=...}`
-/// observation — a span per pulled row, parent spans inclusive of their
-/// children, like any nested tracing.
-///
-/// [`EvalOptions::operator_spans`]: crate::EvalOptions::operator_spans
-pub(crate) struct SpanIdOp<'g> {
-    child: BoxIdOp<'g>,
-    name: &'static str,
-}
-
-impl<'g> SpanIdOp<'g> {
-    pub(crate) fn new(child: BoxIdOp<'g>, name: &'static str) -> Self {
-        SpanIdOp { child, name }
-    }
-}
-
-impl<'g> IdOperator<'g> for SpanIdOp<'g> {
-    fn next(&mut self, cx: &mut ExecCtx<'g>) -> Result<Option<IdRow>, QueryError> {
-        let start = Instant::now();
-        let result = self.child.next(cx);
-        observe_span(cx, self.name, start);
-        result
-    }
-
-    fn reseed(&mut self, rows: Vec<IdRow>) {
-        self.child.reseed(rows);
-    }
-}
-
-/// [`SpanIdOp`], for the solution layer.
-pub(crate) struct SpanSolOp<'g> {
-    child: BoxSolOp<'g>,
-    name: &'static str,
-}
-
-impl<'g> SpanSolOp<'g> {
-    pub(crate) fn new(child: BoxSolOp<'g>, name: &'static str) -> Self {
-        SpanSolOp { child, name }
-    }
-}
-
-impl<'g> SolOperator<'g> for SpanSolOp<'g> {
-    fn next(&mut self, cx: &mut ExecCtx<'g>) -> Result<Option<Bindings>, QueryError> {
-        let start = Instant::now();
-        let result = self.child.next(cx);
-        observe_span(cx, self.name, start);
-        result
-    }
-}
-
-fn observe_span(cx: &ExecCtx<'_>, name: &'static str, start: Instant) {
-    if let Some(registry) = cx.spans {
-        registry
-            .histogram_with(
-                OPERATOR_SECONDS,
-                "Per-operator next() time of physical query plans",
-                LATENCY_BUCKETS,
-                &[("op", name)],
-            )
-            .observe_duration(start.elapsed());
     }
 }

@@ -89,11 +89,6 @@ pub struct EvalOptions {
     /// Abort evaluation after producing this many intermediate rows —
     /// a deterministic cost bound independent of wall-clock speed.
     pub row_budget: Option<u64>,
-    /// Record a `provbench_query_operator_seconds{op=...}` observation
-    /// per physical-operator `next()` call (one span per pulled row).
-    /// Off by default: per-row timestamping is only worth paying for
-    /// when profiling a plan.
-    pub operator_spans: bool,
 }
 
 impl Default for EvalOptions {
@@ -102,7 +97,6 @@ impl Default for EvalOptions {
             reorder_patterns: true,
             deadline: None,
             row_budget: None,
-            operator_spans: false,
         }
     }
 }
@@ -132,13 +126,6 @@ impl EvalOptions {
     /// Abort evaluation after `rows` intermediate rows.
     pub fn with_row_budget(mut self, rows: u64) -> Self {
         self.row_budget = Some(rows);
-        self
-    }
-
-    /// Record per-operator timing spans while evaluating (see
-    /// [`EvalOptions::operator_spans`]).
-    pub fn with_operator_spans(mut self) -> Self {
-        self.operator_spans = true;
         self
     }
 }

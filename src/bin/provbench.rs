@@ -6,15 +6,18 @@
 //! provbench stats [--seed N]                              Table 1 + Figure 1
 //! provbench coverage [--seed N]                           Tables 2 and 3
 //! provbench validate --dir DIR                            PROV-constraint-check a corpus directory
-//! provbench lint [PATH] [--format F] [--baseline FILE]    static-analyse corpus files (provlint)
+//! provbench lint [PATH | --dir DIR] [--format F]         static-analyse corpus files (provlint)
 //! provbench query 'SPARQL' [--dir DIR]                    query a corpus (generated or loaded)
 //! provbench serve [--addr HOST:PORT]                      SPARQL endpoint + web UI
 //! provbench snapshot build|info --dir DIR                 manage the binary corpus snapshot
 //! ```
 //!
-//! Every `--dir` consumer loads through `CorpusStore::open_or_build`: a
-//! valid `corpus.snapshot` is memory-loaded, anything else falls back
-//! to parsing the RDF sources and rewrites the snapshot.
+//! Every `--dir` consumer goes through the directory's on-disk cache.
+//! Queries, `serve` and `validate` load through
+//! `CorpusStore::open_or_build`: a valid `corpus.snapshot` is
+//! memory-loaded, anything else falls back to parsing the RDF sources
+//! and rewrites the snapshot. `lint --dir` (and `serve`'s `/lint`
+//! report) lint the sources through `corpus.lint.snapshot`.
 
 use provbench::analysis::coverage::term_usage;
 use provbench::analysis::{coverage_of_corpus, dependency_edges};
@@ -27,7 +30,7 @@ use provbench::query::exemplar::PREFIXES;
 use provbench::query::{QueryEngine, QueryError, QueryParseError};
 use provbench::rdf::Graph;
 use provbench::workflow::System;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 struct Options {
@@ -398,13 +401,28 @@ fn cmd_serve(o: &Options) -> Result<(), String> {
     let loader = endpoint.clone();
     let opts_jobs = o.jobs.unwrap_or_else(store::default_load_jobs);
     let strict = o.strict;
-    let dir_path = std::path::PathBuf::from(&dir);
+    let dir_path = PathBuf::from(&dir);
     std::thread::spawn(move || {
+        use provbench::diag;
+
         let mut served: Option<(u64, u64)> = None;
         loop {
             let fingerprint = store::source_fingerprint(&dir_path).ok();
             if fingerprint.is_some() && fingerprint != served {
                 loader.set_rebuilding(true);
+                // Lint the sources (with the corpus-wide rules) through
+                // the lint cache beside them. Before the open, so only
+                // the lint's reports outlive it into the corpus load.
+                let lint = diag::lint_corpus_incremental(
+                    &dir_path,
+                    &diag::Registry::with_corpus_rules(),
+                    &diag::CorpusLintOptions {
+                        jobs: opts_jobs,
+                        corpus_rules: true,
+                        incremental: true,
+                        cache_path: None,
+                    },
+                );
                 let opts = store::StoreOptions {
                     jobs: opts_jobs,
                     strict,
@@ -412,27 +430,30 @@ fn cmd_serve(o: &Options) -> Result<(), String> {
                 };
                 match store::CorpusStore::open_or_build_opts(&dir_path, &opts) {
                     Ok(s) => {
+                        // Only the union graph is served.
+                        drop(s.corpus);
                         let summary = provenance_summary(&s.provenance);
                         let quarantined = s.ingest.errors.len();
                         if quarantined > 0 {
                             eprintln!("warning: {}", s.ingest);
                         }
                         eprintln!("corpus loaded: {} triples ({summary})", s.union.len());
-                        // Lint the freshly loaded corpus (with the
-                        // corpus-wide rules) and publish the report on
-                        // `GET /lint` alongside the graph itself.
-                        let registry = provbench::diag::Registry::with_corpus_rules();
-                        let reports = lint_store(&s, &registry, true);
-                        let (lint_errors, _, _) = provbench::diag::severity_counts(&reports);
-                        loader.set_lint_report(
-                            provbench::diag::render_lint_json(&reports),
-                            lint_errors,
-                        );
-                        eprintln!(
-                            "lint report published: {} files, {} errors (GET /lint)",
-                            reports.len(),
-                            lint_errors
-                        );
+                        // Publish the lint report on `GET /lint`
+                        // alongside the graph itself.
+                        match lint {
+                            Ok(outcome) => {
+                                let reports = outcome.reports;
+                                let (lint_errors, _, _) = diag::severity_counts(&reports);
+                                loader
+                                    .set_lint_report(diag::render_lint_json(&reports), lint_errors);
+                                eprintln!(
+                                    "lint report published: {} files, {} errors (GET /lint)",
+                                    reports.len(),
+                                    lint_errors
+                                );
+                            }
+                            Err(e) => eprintln!("lint failed: {e}"),
+                        }
                         loader.set_ingest_errors(quarantined);
                         loader.replace_graph(s.union, summary);
                     }
@@ -579,60 +600,20 @@ fn explain_rule(id: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Lint every graph of a snapshot-loaded store. The graphs carry no
-/// concrete syntax, so diagnostics have file labels but no spans. With
-/// `corpus_rules`, summaries are extracted per graph and the corpus
-/// fixpoint's findings are merged in.
-fn lint_store(
-    s: &store::CorpusStore,
-    registry: &provbench::diag::Registry,
-    corpus_rules: bool,
-) -> Vec<provbench::diag::FileReport> {
-    use provbench::diag;
+/// Removes a scratch directory when dropped, on every return path.
+struct RemoveOnDrop(PathBuf);
 
-    let mut reports = Vec::new();
-    let mut summaries: Vec<(String, diag::AnalysisSummary)> = Vec::new();
-    for d in &s.corpus.descriptions {
-        let label = format!(
-            "{}/{}/{}",
-            d.system.name().to_ascii_lowercase(),
-            d.template_name,
-            store::description_file(d.system)
-        );
-        if corpus_rules {
-            summaries.push((label.clone(), diag::AnalysisSummary::of_graph(&d.graph)));
-        }
-        reports.push(diag::FileReport {
-            diagnostics: diag::lint_graph(&label, &d.graph, registry),
-            path: label,
-        });
+impl Drop for RemoveOnDrop {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
     }
-    for trace in &s.corpus.traces {
-        let label = format!(
-            "{}/{}/{}.{}",
-            trace.system.name().to_ascii_lowercase(),
-            trace.template_name,
-            trace.run_id,
-            store::trace_extension(trace.system)
-        );
-        let graph = trace.dataset.union_graph();
-        if corpus_rules {
-            summaries.push((label.clone(), diag::AnalysisSummary::of_graph(&graph)));
-        }
-        reports.push(diag::FileReport {
-            diagnostics: diag::lint_graph(&label, &graph, registry),
-            path: label,
-        });
-    }
-    if corpus_rules {
-        diag::apply_corpus_rules(&mut reports, &summaries);
-    }
-    reports
 }
 
-/// Lint a path on disk, a corpus directory loaded through its snapshot
-/// (`--dir`), or — with neither — the generated corpus serialized in
-/// memory exactly as `provbench generate` would write it.
+/// Lint a path on disk, a corpus directory through its lint cache
+/// (`--dir DIR` is `DIR --incremental`), or — with neither — the
+/// generated corpus, written exactly as `provbench generate` writes it
+/// into a temporary `corpus` directory. All three run the one driver,
+/// `lint_corpus_incremental`.
 fn cmd_lint(o: &Options) -> Result<(), String> {
     use provbench::diag;
 
@@ -645,79 +626,38 @@ fn cmd_lint(o: &Options) -> Result<(), String> {
     } else {
         diag::Registry::with_default_rules()
     };
-    let jobs = o.jobs.unwrap_or_else(diag::default_jobs);
-    if o.incremental && o.positional.is_empty() {
-        return Err("--incremental needs a PATH to lint (the snapshot lives beside it)".into());
-    }
-    let mut reports: Vec<diag::FileReport> = match (o.positional.first(), &o.dir) {
-        (Some(path), _) => {
-            let opts = diag::CorpusLintOptions {
-                jobs,
-                corpus_rules: o.corpus_rules,
-                incremental: o.incremental,
-                cache_path: None,
-            };
-            let outcome = diag::lint_corpus_incremental(Path::new(path), &registry, &opts)
-                .map_err(|e| format!("lint {path}: {e}"))?;
-            if o.incremental {
-                eprintln!(
-                    "incremental lint: {} analyzed, {} cached ({})",
-                    outcome.analyzed,
-                    outcome.reused,
-                    outcome.cache_path.display()
-                );
-            }
-            outcome.reports
+    let mut scratch = None;
+    let (root, incremental) = match (o.positional.first(), &o.dir) {
+        (Some(path), _) => (PathBuf::from(path), o.incremental),
+        (None, Some(dir)) => (PathBuf::from(dir), true),
+        (None, None) if o.incremental => {
+            return Err("--incremental needs a PATH to lint (the snapshot lives beside it)".into())
         }
-        (None, Some(dir)) => lint_store(&open_dir_store(o, dir)?, &registry, o.corpus_rules),
         (None, None) => {
-            let corpus = Corpus::generate(&spec_of(o));
-            let mut files: Vec<(String, String)> = Vec::new();
-            for ((system, template), description) in
-                corpus.templates.iter().zip(&corpus.descriptions)
-            {
-                let label = format!(
-                    "{}/{}/{}",
-                    system.name().to_ascii_lowercase(),
-                    template.name,
-                    store::description_file(*system)
-                );
-                files.push((label, store::serialize_description(description)));
-            }
-            for trace in &corpus.traces {
-                let label = format!(
-                    "{}/{}/{}.{}",
-                    trace.system.name().to_ascii_lowercase(),
-                    trace.template_name,
-                    trace.run_id,
-                    store::trace_extension(trace.system)
-                );
-                files.push((label, store::serialize_trace(trace)));
-            }
-            let mut reports: Vec<diag::FileReport> = Vec::with_capacity(files.len());
-            let mut summaries: Vec<(String, diag::AnalysisSummary)> = Vec::new();
-            for (label, content) in files {
-                if o.corpus_rules {
-                    let parsed = if label.ends_with(".trig") {
-                        provbench::rdf::parse_trig(&content).map(|(ds, _)| ds.union_graph())
-                    } else {
-                        provbench::rdf::parse_turtle(&content).map(|(g, _)| g)
-                    };
-                    if let Ok(graph) = parsed {
-                        summaries.push((label.clone(), diag::AnalysisSummary::of_graph(&graph)));
-                    }
-                }
-                reports.push(diag::FileReport {
-                    diagnostics: diag::lint_content(&label, &content, &registry),
-                    path: label,
-                });
-            }
-            if o.corpus_rules {
-                diag::apply_corpus_rules(&mut reports, &summaries);
-            }
-            reports
+            let tmp = std::env::temp_dir().join(format!("provbench-lint-{}", std::process::id()));
+            let corpus = scratch.insert(RemoveOnDrop(tmp)).0.join("corpus");
+            store::save(&Corpus::generate(&spec_of(o)), &corpus)
+                .map_err(|e| format!("write {}: {e}", corpus.display()))?;
+            (corpus, false)
         }
     };
+    let opts = diag::CorpusLintOptions {
+        jobs: o.jobs.unwrap_or_else(diag::default_jobs),
+        corpus_rules: o.corpus_rules,
+        incremental,
+        cache_path: None,
+    };
+    let outcome = diag::lint_corpus_incremental(&root, &registry, &opts)
+        .map_err(|e| format!("lint {}: {e}", root.display()))?;
+    if incremental {
+        eprintln!(
+            "incremental lint: {} analyzed, {} cached ({})",
+            outcome.analyzed,
+            outcome.reused,
+            outcome.cache_path.display()
+        );
+    }
+    let mut reports = outcome.reports;
 
     if let Some(file) = &o.baseline {
         let text = std::fs::read_to_string(file).map_err(|e| format!("read {file}: {e}"))?;
@@ -834,10 +774,12 @@ const USAGE: &str = "usage: provbench <command> [options]
   stats    [--seed N]                           Table 1 + Figure 1
   coverage [--seed N]                           Tables 2 and 3
   usage    [--seed N]                           per-term assertion counts
-  lint     [PATH] [--format text|json|sarif]    static-analyse corpus files
+  lint     [PATH | --dir DIR] [--format text|json|sarif]   static-analyse corpus files
            [--baseline FILE] [--write-baseline FILE] [--deny LEVEL] [--jobs N]
            [--corpus-rules] [--incremental] [--explain PB0xxx]
-           (no PATH: lints the generated corpus in memory;
+           (--dir DIR: same as DIR --incremental;
+            no PATH: writes the generated corpus (--seed, --payload) to a
+            temporary `corpus` directory, lints it and removes it;
             --corpus-rules adds the cross-document PB021x pack,
             --incremental caches per-file results in corpus.lint.snapshot,
             --explain prints one rule's catalog entry and exits)
@@ -861,7 +803,7 @@ const USAGE: &str = "usage: provbench <command> [options]
   ro       TEMPLATE [--seed N]                  research-object manifest (Turtle)
   explain 'SPARQL' [--dir DIR | --seed N]       show the evaluation plan + estimates
   snapshot build|info --dir DIR [--jobs N]      build/inspect the binary corpus snapshot
-           (query/serve/validate/lint --dir load through it automatically;
+           (query/serve/validate --dir load through it automatically;
             info exits non-zero if any source file is quarantined)
   --strict on any --dir command: fail fast on the first unparsable source
            file instead of quarantining it

@@ -4,8 +4,8 @@
 //! them — the contract the CI lint gate relies on.
 
 use provbench::diag::{
-    apply_baseline, collect_rdf_files, corpus_label, json, lint_content, lint_corpus_incremental,
-    lint_graph, lint_path, parse_baseline, render_sarif, CorpusLintOptions, Registry, Severity,
+    apply_baseline, collect_rdf_files, json, lint_corpus_incremental, parse_baseline, render_sarif,
+    CorpusLintOptions, FileReport, Registry, Severity,
 };
 use std::path::Path;
 
@@ -21,10 +21,23 @@ fn examples_dir() -> &'static Path {
     dir
 }
 
+/// The per-file rule packs over `examples/`, cold, no corpus rules.
+fn lint_examples(registry: &Registry) -> Vec<FileReport> {
+    let opts = CorpusLintOptions {
+        jobs: 2,
+        corpus_rules: false,
+        incremental: false,
+        cache_path: None,
+    };
+    lint_corpus_incremental(examples_dir(), registry, &opts)
+        .expect("lint examples/")
+        .reports
+}
+
 #[test]
 fn examples_match_their_committed_baseline() {
     let registry = Registry::with_default_rules();
-    let mut reports = lint_path(examples_dir(), &registry, 2).expect("lint examples/");
+    let mut reports = lint_examples(&registry);
     assert_eq!(reports.len(), 12, "expected 12 example files");
 
     // The clean traces are clean; the dissected files are not.
@@ -69,40 +82,6 @@ fn examples_match_their_committed_baseline() {
         "baseline out of date — regenerate with `provbench lint --write-baseline \
          examples/lint.baseline examples`; unsuppressed: {remaining:#?}"
     );
-}
-
-/// Satellite of the snapshot path: linting a graph without a span table
-/// (as `lint --dir` does after a snapshot load) must fire exactly the
-/// same rules as the span-recording parse of the same file — positions
-/// may be lost, findings may not.
-#[test]
-fn spanless_lint_matches_spanned_lint_rule_for_rule() {
-    let registry = Registry::with_default_rules();
-    for path in collect_rdf_files(examples_dir()).expect("collect examples") {
-        let label = corpus_label(examples_dir(), &path);
-        let content = std::fs::read_to_string(&path).expect("read example");
-        let spanned = lint_content(&label, &content, &registry);
-        let graph = if label.ends_with(".trig") {
-            provbench::rdf::parse_trig(&content)
-                .expect("parse")
-                .0
-                .union_graph()
-        } else {
-            provbench::rdf::parse_turtle(&content).expect("parse").0
-        };
-        let spanless = lint_graph(&label, &graph, &registry);
-        let ids = |diags: &[provbench::diag::Diagnostic]| {
-            let mut ids: Vec<&str> = diags.iter().map(|d| d.rule.id).collect();
-            ids.sort();
-            ids
-        };
-        assert_eq!(
-            ids(&spanned),
-            ids(&spanless),
-            "{label}: spanned and span-less lint disagree"
-        );
-        assert!(spanless.iter().all(|d| d.span.is_none()));
-    }
 }
 
 /// The corpus-wide rules fire on the examples tree (the dissected
@@ -257,7 +236,7 @@ fn measure_cold_vs_warm_lint_wall_time() {
 #[test]
 fn sarif_related_locations_carry_cycle_members() {
     let registry = Registry::with_default_rules();
-    let reports = lint_path(examples_dir(), &registry, 2).expect("lint examples/");
+    let reports = lint_examples(&registry);
     let cycle = reports
         .iter()
         .flat_map(|r| &r.diagnostics)
@@ -299,7 +278,7 @@ fn sarif_related_locations_carry_cycle_members() {
 #[test]
 fn examples_render_as_valid_sarif() {
     let registry = Registry::with_default_rules();
-    let reports = lint_path(examples_dir(), &registry, 2).expect("lint examples/");
+    let reports = lint_examples(&registry);
     let log = json::parse(&render_sarif(&reports, &registry)).expect("valid SARIF JSON");
     assert_eq!(
         log.get("version").and_then(json::Json::as_str),
