@@ -1,17 +1,52 @@
 //! The store's filesystem seam.
 //!
-//! Every file read or write the corpus store performs goes through the
-//! [`StoreFs`] trait so that tests can interpose faults deterministically.
-//! Production code uses [`RealFs`] (plain `std::fs` plus fsync on
-//! durable writes); the `fault-inject` feature adds [`FaultFs`], a shim
-//! that injects `Interrupted` errors, short writes and torn renames on a
-//! seeded schedule. Directory walks (`read_dir`) are deliberately *not*
-//! interposed: they enumerate names only, and a failed walk surfaces as
-//! an ordinary `io::Error` with nothing on disk to corrupt.
+//! Every file stat, read or write the corpus store and the lint cache
+//! perform goes through the [`StoreFs`] trait so that tests can
+//! interpose faults deterministically. Production code uses [`RealFs`]
+//! (plain `std::fs` plus fsync on durable writes); the `fault-inject`
+//! feature adds `FaultFs`, a shim that injects `Interrupted` errors,
+//! short writes and torn renames on a seeded schedule. Directory walks
+//! (`read_dir`) are deliberately *not* interposed: they enumerate names
+//! only, and a failed walk surfaces as an ordinary `io::Error` with
+//! nothing on disk to corrupt.
 
 use std::fs;
 use std::io;
 use std::path::Path;
+
+/// What a stat says about a file: its size, and its modification and
+/// status-change times in ns since the epoch. The change time (0 off
+/// unix) moves on every write, even one whose mtime is put back.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct FileStat {
+    pub len: u64,
+    pub mtime_ns: u64,
+    pub ctime_ns: u64,
+}
+
+impl From<&fs::Metadata> for FileStat {
+    fn from(meta: &fs::Metadata) -> Self {
+        let mtime_ns = meta
+            .modified()
+            .ok()
+            .and_then(|t| t.duration_since(std::time::UNIX_EPOCH).ok())
+            .map_or(0, |d| d.as_nanos() as u64);
+        #[cfg(unix)]
+        let ctime_ns = {
+            use std::os::unix::fs::MetadataExt;
+            (meta.ctime() as u64)
+                .wrapping_mul(1_000_000_000)
+                .wrapping_add(meta.ctime_nsec() as u64)
+        };
+        #[cfg(not(unix))]
+        let ctime_ns = 0;
+        FileStat {
+            len: meta.len(),
+            mtime_ns,
+            ctime_ns,
+        }
+    }
+}
 
 /// Filesystem operations the corpus store depends on. `Sync` because the
 /// parallel ingestion workers share one instance across scoped threads.
@@ -19,11 +54,8 @@ pub trait StoreFs: Sync {
     /// Read a whole file.
     fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
 
-    /// Read a whole file as UTF-8.
-    fn read_to_string(&self, path: &Path) -> io::Result<String>;
-
     /// Durable write: create/truncate, write all bytes, fsync. Callers
-    /// that need crash atomicity write to a temp path and [`StoreFs::rename`].
+    /// that need crash atomicity use [`StoreFs::write_atomic`].
     fn write(&self, path: &Path, data: &[u8]) -> io::Result<()>;
 
     /// Atomically replace `to` with `from` (POSIX rename semantics).
@@ -33,12 +65,25 @@ pub trait StoreFs: Sync {
     /// for cleanup; they ignore the result.
     fn remove_file(&self, path: &Path) -> io::Result<()>;
 
-    /// Size of a file in bytes.
-    fn file_len(&self, path: &Path) -> io::Result<u64>;
+    /// Size and times of a file (following symlinks).
+    fn stat(&self, path: &Path) -> io::Result<FileStat>;
 
     /// Create `path` exclusively (advisory lock). Fails with
     /// [`io::ErrorKind::AlreadyExists`] when another process holds it.
     fn create_lock(&self, path: &Path) -> io::Result<()>;
+
+    /// Crash-safe publish: write everything to `tmp` (fsynced), then
+    /// atomically rename it over `dest`; on failure remove `tmp`. A
+    /// crash or fault at any point leaves either the old `dest` or
+    /// litter at `tmp` — never a torn `dest` (and a torn `dest` from a
+    /// non-atomic filesystem fails its checksum on the next read).
+    fn write_atomic(&self, tmp: &Path, dest: &Path, data: &[u8]) -> io::Result<()> {
+        let result = self.write(tmp, data).and_then(|()| self.rename(tmp, dest));
+        if result.is_err() {
+            let _ = self.remove_file(tmp);
+        }
+        result
+    }
 }
 
 /// The real filesystem. Durable writes fsync before returning so that a
@@ -52,10 +97,6 @@ pub static REAL_FS: RealFs = RealFs;
 impl StoreFs for RealFs {
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
         fs::read(path)
-    }
-
-    fn read_to_string(&self, path: &Path) -> io::Result<String> {
-        fs::read_to_string(path)
     }
 
     fn write(&self, path: &Path, data: &[u8]) -> io::Result<()> {
@@ -73,8 +114,8 @@ impl StoreFs for RealFs {
         fs::remove_file(path)
     }
 
-    fn file_len(&self, path: &Path) -> io::Result<u64> {
-        fs::metadata(path).map(|m| m.len())
+    fn stat(&self, path: &Path) -> io::Result<FileStat> {
+        fs::metadata(path).map(|m| FileStat::from(&m))
     }
 
     fn create_lock(&self, path: &Path) -> io::Result<()> {
@@ -87,15 +128,14 @@ impl StoreFs for RealFs {
 }
 
 #[cfg(feature = "fault-inject")]
-pub use fault::{FaultFs, FaultKind, FaultPlan};
+pub use fault::{FaultFs, FaultKind};
 
 #[cfg(feature = "fault-inject")]
 mod fault {
-    use super::{RealFs, StoreFs};
+    use super::{FileStat, RealFs, StoreFs};
+    use crate::FaultPlan;
     use std::io;
     use std::path::Path;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
 
     /// What kind of fault to inject at a chosen operation.
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -115,27 +155,13 @@ mod fault {
         TornRename,
     }
 
-    /// When to inject.
-    #[derive(Debug)]
-    pub enum FaultPlan {
-        /// Inject `kind` at exactly the `op`-th filesystem operation
-        /// (0-based); all other operations pass through.
-        Nth { kind: FaultKind, op: usize },
-        /// Seeded pseudo-random schedule: each operation faults with
-        /// probability `1/rate`, kind drawn from the same stream. Fully
-        /// determined by the seed (given a deterministic op order).
-        Seeded { state: Mutex<u64>, rate: u64 },
-    }
-
     /// A [`StoreFs`] that wraps [`RealFs`] and injects faults per its
     /// plan. Operation counting is global across all methods, so a plan
     /// index addresses "the k-th thing the store did to the disk".
     #[derive(Debug)]
     pub struct FaultFs {
         inner: RealFs,
-        plan: FaultPlan,
-        ops: AtomicUsize,
-        injected: AtomicUsize,
+        plan: FaultPlan<FaultKind>,
     }
 
     impl FaultFs {
@@ -143,9 +169,7 @@ mod fault {
         pub fn fail_nth(kind: FaultKind, op: usize) -> Self {
             FaultFs {
                 inner: RealFs,
-                plan: FaultPlan::Nth { kind, op },
-                ops: AtomicUsize::new(0),
-                injected: AtomicUsize::new(0),
+                plan: FaultPlan::nth(kind, op),
             }
         }
 
@@ -154,47 +178,28 @@ mod fault {
         pub fn seeded(seed: u64, rate: u64) -> Self {
             FaultFs {
                 inner: RealFs,
-                plan: FaultPlan::Seeded {
-                    state: Mutex::new(seed.wrapping_mul(0x9E3779B97F4A7C15) | 1),
-                    rate: rate.max(1),
-                },
-                ops: AtomicUsize::new(0),
-                injected: AtomicUsize::new(0),
+                plan: FaultPlan::seeded(seed, rate),
             }
         }
 
         /// Total filesystem operations attempted so far.
         pub fn ops(&self) -> usize {
-            self.ops.load(Ordering::SeqCst)
+            self.plan.ops()
         }
 
         /// Faults actually injected so far.
         pub fn injected(&self) -> usize {
-            self.injected.load(Ordering::SeqCst)
+            self.plan.injected()
         }
 
         /// Decide whether the current operation faults, and how.
         fn fault(&self) -> Option<FaultKind> {
-            let op = self.ops.fetch_add(1, Ordering::SeqCst);
-            let kind = match &self.plan {
-                FaultPlan::Nth { kind, op: target } => (op == *target).then_some(*kind),
-                FaultPlan::Seeded { state, rate } => {
-                    let draw = crate::xorshift64_star(
-                        &mut state.lock().unwrap_or_else(|e| e.into_inner()),
-                    );
-                    draw.is_multiple_of(*rate)
-                        .then_some(match (draw >> 32) % 4 {
-                            0 => FaultKind::ReadError,
-                            1 => FaultKind::Interrupted,
-                            2 => FaultKind::ShortWrite,
-                            _ => FaultKind::TornRename,
-                        })
-                }
-            };
-            if kind.is_some() {
-                self.injected.fetch_add(1, Ordering::SeqCst);
-            }
-            kind
+            self.plan.next(|draw| match (draw >> 32) % 4 {
+                0 => FaultKind::ReadError,
+                1 => FaultKind::Interrupted,
+                2 => FaultKind::ShortWrite,
+                _ => FaultKind::TornRename,
+            })
         }
     }
 
@@ -210,13 +215,6 @@ mod fault {
             match self.fault() {
                 Some(_) => Err(interrupted("read of", path)),
                 None => self.inner.read(path),
-            }
-        }
-
-        fn read_to_string(&self, path: &Path) -> io::Result<String> {
-            match self.fault() {
-                Some(_) => Err(interrupted("read of", path)),
-                None => self.inner.read_to_string(path),
             }
         }
 
@@ -258,10 +256,10 @@ mod fault {
             }
         }
 
-        fn file_len(&self, path: &Path) -> io::Result<u64> {
+        fn stat(&self, path: &Path) -> io::Result<FileStat> {
             match self.fault() {
                 Some(_) => Err(interrupted("stat of", path)),
-                None => self.inner.file_len(path),
+                None => self.inner.stat(path),
             }
         }
 
@@ -286,8 +284,7 @@ mod tests {
         let f = dir.join("a.bin");
         REAL_FS.write(&f, b"hello").unwrap();
         assert_eq!(REAL_FS.read(&f).unwrap(), b"hello");
-        assert_eq!(REAL_FS.read_to_string(&f).unwrap(), "hello");
-        assert_eq!(REAL_FS.file_len(&f).unwrap(), 5);
+        assert_eq!(REAL_FS.stat(&f).unwrap().len, 5);
         let g = dir.join("b.bin");
         REAL_FS.rename(&f, &g).unwrap();
         assert!(!f.exists() && g.exists());

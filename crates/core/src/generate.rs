@@ -125,34 +125,9 @@ impl Corpus {
             })
             .collect();
 
-        let traces: Vec<TraceRecord> = if threads <= 1 {
-            plan.runs
-                .iter()
-                .map(|p| run_one(&catalog, p, spec.value_payload))
-                .collect()
-        } else {
-            let chunk = plan.runs.len().div_ceil(threads).max(1);
-            std::thread::scope(|scope| {
-                let catalog = &catalog;
-                let payload = spec.value_payload;
-                let handles: Vec<_> = plan
-                    .runs
-                    .chunks(chunk)
-                    .map(|chunk| {
-                        scope.spawn(move || {
-                            chunk
-                                .iter()
-                                .map(|p| run_one(catalog, p, payload))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("generation worker panicked"))
-                    .collect()
-            })
-        };
+        let traces = crate::par_map(&plan.runs, threads, |p| {
+            run_one(&catalog, p, spec.value_payload)
+        });
 
         Corpus {
             spec: spec.clone(),

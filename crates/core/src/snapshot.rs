@@ -8,7 +8,8 @@
 //! ```text
 //! header   magic "PBSNAP" (6) | version u16 LE | fnv1a-64(body) u64 LE
 //! body     source file count, source byte count        (varints)
-//!          source manifest: (rel path, byte size)      (per source file)
+//!          source manifest: rel path, size, mtime,
+//!                  ctime, fnv1a-64 of the bytes        (per source file)
 //!          global term table                           (tagged terms)
 //!          descriptions: system, template, slab        (per workflow)
 //!          traces: run id, system, template,
@@ -25,6 +26,8 @@
 //! caller falls back to a clean rebuild from the RDF sources — never a
 //! panic, never silently wrong data.
 
+use crate::fsio::FileStat;
+use crate::manifest::SourceRecord;
 use crate::store::{LoadedCorpus, LoadedDescription, LoadedTrace};
 use provbench_rdf::codec::{
     read_slab, read_term_table, write_slab, write_string, write_term_table, Reader,
@@ -46,8 +49,10 @@ pub const MAGIC: [u8; 6] = *b"PBSNAP";
 ///
 /// History: v1 had no source manifest; v2 adds the per-file
 /// `(relative path, byte size)` manifest so a stale-snapshot rebuild can
-/// name exactly which files changed.
-pub const VERSION: u16 = 2;
+/// name exactly which files changed; v3 records each file's mtime,
+/// ctime and content hash too (see [`crate::manifest`]), so a same-size
+/// edit is caught.
+pub const VERSION: u16 = 3;
 
 /// Fixed header length: magic + version + checksum.
 pub const HEADER_LEN: usize = 6 + 2 + 8;
@@ -90,7 +95,7 @@ fn corrupt(msg: impl Into<String>) -> SnapshotError {
 }
 
 /// A decoded snapshot: the corpus, the pre-merged union graph, and the
-/// source fingerprint recorded at build time.
+/// source manifest recorded at build time.
 #[derive(Debug, Clone)]
 pub struct DecodedSnapshot {
     /// The corpus exactly as [`crate::store::load`] would return it.
@@ -99,14 +104,9 @@ pub struct DecodedSnapshot {
     /// `corpus.combined_dataset().union_graph()`), rebuilt from the slabs
     /// and cross-checked against the persisted predicate statistics.
     pub union: Graph,
-    /// Number of source RDF files when the snapshot was built.
-    pub source_files: u64,
-    /// Total size in bytes of those files.
-    pub source_bytes: u64,
-    /// `(relative path, byte size)` of every source file at build time,
-    /// sorted by path — lets the loader report *which* files changed
-    /// when it decides to rebuild.
-    pub manifest: Vec<(String, u64)>,
+    /// The record of every source file read at build time, in walk
+    /// order: what a warm open checks the directory against.
+    pub manifest: Vec<SourceRecord>,
 }
 
 fn system_tag(system: System) -> u8 {
@@ -219,16 +219,16 @@ fn graph_from_slab(
 
 /// Serialize a corpus into a complete snapshot file (header + body).
 ///
-/// `source_files`/`source_bytes` fingerprint the RDF tree the corpus was
-/// parsed from and `manifest` records the per-file breakdown (may be
-/// empty when the corpus never touched disk); [`decode`] hands them back
-/// so the loader can detect a changed source tree, name the changed
-/// files, and rebuild.
+/// `source_files`/`source_bytes` count the RDF tree the corpus was
+/// parsed from (no reader needs them since the manifest came in) and
+/// `manifest` records each of its files (may be empty when the corpus
+/// never touched disk); [`decode`] hands it back so the loader can
+/// detect a changed source tree, name the changed files, and rebuild.
 pub fn encode(
     corpus: &LoadedCorpus,
     source_files: u64,
     source_bytes: u64,
-    manifest: &[(String, u64)],
+    manifest: &[SourceRecord],
 ) -> Vec<u8> {
     let mut table = GlobalTable::default();
     let mut union: BTreeSet<(u32, u32, u32)> = BTreeSet::new();
@@ -273,45 +273,101 @@ pub fn encode(
         *stats.entry(p).or_insert(0) += 1;
     }
 
-    let mut body = Vec::new();
-    provbench_rdf::codec::write_varint(&mut body, source_files);
-    provbench_rdf::codec::write_varint(&mut body, source_bytes);
-    provbench_rdf::codec::write_varint(&mut body, manifest.len() as u64);
-    for (path, size) in manifest {
-        write_string(&mut body, path);
-        provbench_rdf::codec::write_varint(&mut body, *size);
+    seal(MAGIC, VERSION, |body| {
+        provbench_rdf::codec::write_varint(body, source_files);
+        provbench_rdf::codec::write_varint(body, source_bytes);
+        write_manifest(body, manifest);
+        write_term_table(body, &table.terms);
+        provbench_rdf::codec::write_varint(body, corpus.descriptions.len() as u64);
+        for (d, slab) in corpus.descriptions.iter().zip(&description_slabs) {
+            body.push(system_tag(d.system));
+            write_string(body, &d.template_name);
+            write_slab(body, slab);
+        }
+        provbench_rdf::codec::write_varint(body, corpus.traces.len() as u64);
+        for (t, (default, named)) in corpus.traces.iter().zip(&trace_slabs) {
+            write_string(body, &t.run_id);
+            body.push(system_tag(t.system));
+            write_string(body, &t.template_name);
+            write_slab(body, default);
+            provbench_rdf::codec::write_varint(body, named.len() as u64);
+            for (name_id, slab) in named {
+                provbench_rdf::codec::write_varint(body, u64::from(*name_id));
+                write_slab(body, slab);
+            }
+        }
+        provbench_rdf::codec::write_varint(body, stats.len() as u64);
+        for (p, count) in &stats {
+            provbench_rdf::codec::write_varint(body, u64::from(*p));
+            provbench_rdf::codec::write_varint(body, *count);
+        }
+    })
+}
+
+/// A sealed file: `magic | version u16 LE | fnv1a-64(body) u64 LE`, then
+/// the body `write_body` appends. The body is written in place after
+/// the header, never copied.
+pub fn seal(magic: [u8; 6], version: u16, write_body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(&magic);
+    out.extend_from_slice(&version.to_le_bytes());
+    out.extend_from_slice(&[0; 8]);
+    write_body(&mut out);
+    let checksum = fnv1a(&out[HEADER_LEN..]);
+    out[8..HEADER_LEN].copy_from_slice(&checksum.to_le_bytes());
+    out
+}
+
+/// Check a sealed file's header against `magic` and `version` and its
+/// body against the checksum; the body.
+pub fn unseal(bytes: &[u8], magic: [u8; 6], version: u16) -> Result<&[u8], SnapshotError> {
+    if bytes.len() < HEADER_LEN {
+        return Err(SnapshotError::Truncated);
     }
-    write_term_table(&mut body, &table.terms);
-    provbench_rdf::codec::write_varint(&mut body, corpus.descriptions.len() as u64);
-    for (d, slab) in corpus.descriptions.iter().zip(&description_slabs) {
-        body.push(system_tag(d.system));
-        write_string(&mut body, &d.template_name);
-        write_slab(&mut body, slab);
+    if bytes[..6] != magic {
+        return Err(SnapshotError::BadMagic);
     }
-    provbench_rdf::codec::write_varint(&mut body, corpus.traces.len() as u64);
-    for (t, (default, named)) in corpus.traces.iter().zip(&trace_slabs) {
-        write_string(&mut body, &t.run_id);
-        body.push(system_tag(t.system));
-        write_string(&mut body, &t.template_name);
-        write_slab(&mut body, default);
-        provbench_rdf::codec::write_varint(&mut body, named.len() as u64);
-        for (name_id, slab) in named {
-            provbench_rdf::codec::write_varint(&mut body, u64::from(*name_id));
-            write_slab(&mut body, slab);
+    let found = u16::from_le_bytes([bytes[6], bytes[7]]);
+    if found != version {
+        return Err(SnapshotError::Version(found));
+    }
+    let checksum = u64::from_le_bytes(bytes[8..HEADER_LEN].try_into().expect("8 bytes"));
+    let body = &bytes[HEADER_LEN..];
+    if fnv1a(body) != checksum {
+        return Err(SnapshotError::Checksum);
+    }
+    Ok(body)
+}
+
+/// The source manifest section, shared by the snapshot and the lint
+/// cache.
+pub fn write_manifest(out: &mut Vec<u8>, manifest: &[SourceRecord]) {
+    provbench_rdf::codec::write_varint(out, manifest.len() as u64);
+    for r in manifest {
+        write_string(out, &r.path);
+        for v in [r.stat.len, r.stat.mtime_ns, r.stat.ctime_ns, r.hash] {
+            provbench_rdf::codec::write_varint(out, v);
         }
     }
-    provbench_rdf::codec::write_varint(&mut body, stats.len() as u64);
-    for (p, count) in &stats {
-        provbench_rdf::codec::write_varint(&mut body, u64::from(*p));
-        provbench_rdf::codec::write_varint(&mut body, *count);
-    }
+}
 
-    let mut out = Vec::with_capacity(HEADER_LEN + body.len());
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&fnv1a(&body).to_le_bytes());
-    out.extend_from_slice(&body);
-    out
+/// Inverse of [`write_manifest`].
+pub fn read_manifest(r: &mut Reader<'_>) -> Result<Vec<SourceRecord>, SnapshotError> {
+    let c = |e: provbench_rdf::RdfError| corrupt(e.to_string());
+    let count = r.read_varint().map_err(c)? as usize;
+    let mut manifest = Vec::with_capacity(count.min(1 << 16));
+    for _ in 0..count {
+        manifest.push(SourceRecord {
+            path: r.read_string().map_err(c)?,
+            stat: FileStat {
+                len: r.read_varint().map_err(c)?,
+                mtime_ns: r.read_varint().map_err(c)?,
+                ctime_ns: r.read_varint().map_err(c)?,
+            },
+            hash: r.read_varint().map_err(c)?,
+        });
+    }
+    Ok(manifest)
 }
 
 fn read_byte(r: &mut Reader<'_>) -> Result<u8, SnapshotError> {
@@ -321,33 +377,13 @@ fn read_byte(r: &mut Reader<'_>) -> Result<u8, SnapshotError> {
 
 /// Decode and fully validate a snapshot file.
 pub fn decode(bytes: &[u8]) -> Result<DecodedSnapshot, SnapshotError> {
-    if bytes.len() < HEADER_LEN {
-        return Err(SnapshotError::Truncated);
-    }
-    if bytes[..6] != MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    let version = u16::from_le_bytes([bytes[6], bytes[7]]);
-    if version != VERSION {
-        return Err(SnapshotError::Version(version));
-    }
-    let checksum = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
-    let body = &bytes[HEADER_LEN..];
-    if fnv1a(body) != checksum {
-        return Err(SnapshotError::Checksum);
-    }
-
+    let body = unseal(bytes, MAGIC, VERSION)?;
     let c = |e: provbench_rdf::RdfError| corrupt(e.to_string());
     let mut r = Reader::new(body);
-    let source_files = r.read_varint().map_err(c)?;
-    let source_bytes = r.read_varint().map_err(c)?;
-    let manifest_count = r.read_varint().map_err(c)? as usize;
-    let mut manifest = Vec::with_capacity(manifest_count.min(1 << 16));
-    for _ in 0..manifest_count {
-        let path = r.read_string().map_err(c)?;
-        let size = r.read_varint().map_err(c)?;
-        manifest.push((path, size));
-    }
+    // The source counts: unread since the manifest came in.
+    r.read_varint().map_err(c)?;
+    r.read_varint().map_err(c)?;
+    let manifest = read_manifest(&mut r)?;
     let terms = read_term_table(&mut r).map_err(c)?;
 
     let mut corpus = LoadedCorpus::default();
@@ -438,341 +474,46 @@ pub fn decode(bytes: &[u8]) -> Result<DecodedSnapshot, SnapshotError> {
     Ok(DecodedSnapshot {
         corpus,
         union,
-        source_files,
-        source_bytes,
         manifest,
     })
 }
 
-// ---------------------------------------------------------------------------
-// Lint snapshot (`corpus.lint.snapshot`)
-//
-// The incremental linter persists, per source file, the content
-// fingerprint it analyzed, the per-file diagnostics it produced and the
-// compact analysis summary the corpus-wide rules consume. The records
-// here are deliberately *plain data* — rule ids are strings, severities
-// are small integers — so `provbench-core` stays ignorant of the diag
-// crate; `provbench-diag` owns the conversion in both directions.
-// ---------------------------------------------------------------------------
+/// `bytes`, a snapshot, with its manifest replaced by `records`, which
+/// must record the same files with the same bytes: only their stats may
+/// move, because the corpus section, copied as it is, was parsed from
+/// those bytes. `None` when they record other bytes, or `bytes` is no
+/// snapshot.
+pub fn redate(bytes: &[u8], records: &[SourceRecord]) -> Option<Vec<u8>> {
+    let body = unseal(bytes, MAGIC, VERSION).ok()?;
+    let mut r = Reader::new(body);
+    r.read_varint().ok()?;
+    r.read_varint().ok()?;
+    let counts = &body[..body.len() - r.remaining()];
+    let old = read_manifest(&mut r).ok()?;
+    let same_bytes = old.iter().map(|r| (&r.path, r.hash));
+    if !same_bytes.eq(records.iter().map(|r| (&r.path, r.hash))) {
+        return None;
+    }
+    let corpus = &body[body.len() - r.remaining()..];
+    Some(seal(MAGIC, VERSION, |out| {
+        out.extend_from_slice(counts);
+        write_manifest(out, records);
+        out.extend_from_slice(corpus);
+    }))
+}
 
 /// Lint snapshot file name, stored at the lint root next to
-/// [`SNAPSHOT_FILE`] when the lint root is the corpus directory.
+/// [`SNAPSHOT_FILE`] when the lint root is the corpus directory. Its
+/// format belongs to `provbench-diag`: a sealed file (see [`seal`]) of
+/// [`LINT_MAGIC`] and [`LINT_VERSION`] holding a source manifest.
 pub const LINT_SNAPSHOT_FILE: &str = "corpus.lint.snapshot";
 
 /// File magic of the lint snapshot.
 pub const LINT_MAGIC: [u8; 6] = *b"PBLINT";
 
-/// Current lint snapshot format version.
-pub const LINT_VERSION: u16 = 1;
-
-/// One event-precedence edge of a summary, in wire form.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct EventEdgeRecord {
-    /// Event kind code of the source endpoint (diag's `EventKind`).
-    pub from_kind: u8,
-    /// IRI of the source endpoint.
-    pub from: String,
-    /// Event kind code of the target endpoint.
-    pub to_kind: u8,
-    /// IRI of the target endpoint.
-    pub to: String,
-    /// Strict (`<`) rather than weak (`≤`) precedence.
-    pub strict: bool,
-    /// The edge stems from `prov:wasDerivedFrom`.
-    pub derivation: bool,
-}
-
-/// A per-file analysis summary, in wire form.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct SummaryRecord {
-    /// Non-vocabulary subject IRIs.
-    pub declared: Vec<String>,
-    /// `prov:used` targets.
-    pub used_targets: Vec<String>,
-    /// `prov:wasDerivedFrom` targets.
-    pub derived_targets: Vec<String>,
-    /// All non-vocabulary object IRIs.
-    pub references: Vec<String>,
-    /// `(derived, source)` pairs.
-    pub derivations: Vec<(String, String)>,
-    /// Event-precedence edges.
-    pub events: Vec<EventEdgeRecord>,
-    /// Smallest timestamp literal.
-    pub time_min: Option<String>,
-    /// Largest timestamp literal.
-    pub time_max: Option<String>,
-}
-
-/// A secondary location of a diagnostic, in wire form.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct RelatedRecord {
-    /// What the location contributes.
-    pub message: String,
-    /// File, when known.
-    pub file: Option<String>,
-    /// `(line, column, end_line, end_column)`, when known.
-    pub span: Option<(u64, u64, u64, u64)>,
-}
-
-/// One cached diagnostic, in wire form.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct DiagnosticRecord {
-    /// Stable rule id, e.g. `PB0107`.
-    pub rule_id: String,
-    /// Severity code: 0 info, 1 warning, 2 error.
-    pub severity: u8,
-    /// Human-readable detail.
-    pub message: String,
-    /// File label.
-    pub file: Option<String>,
-    /// `(line, column, end_line, end_column)`, when known.
-    pub span: Option<(u64, u64, u64, u64)>,
-    /// Offending node IRI.
-    pub node: Option<String>,
-    /// Secondary locations.
-    pub related: Vec<RelatedRecord>,
-}
-
-/// One file's cache entry.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct LintEntry {
-    /// Corpus-relative label the file was linted under.
-    pub path: String,
-    /// FNV-1a-64 of the file's bytes at analysis time.
-    pub fingerprint: u64,
-    /// The per-file analysis summary.
-    pub summary: SummaryRecord,
-    /// The per-file diagnostics (corpus-rule diagnostics are *not*
-    /// cached — they are re-solved from summaries on every run).
-    pub diagnostics: Vec<DiagnosticRecord>,
-}
-
-/// The whole lint cache: a tool stamp plus one entry per file.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct LintCache {
-    /// Hash of the linter's rule catalog and version; a mismatch
-    /// invalidates every entry (rule bodies may have changed).
-    pub catalog: u64,
-    /// Per-file entries, sorted by path.
-    pub entries: Vec<LintEntry>,
-}
-
-fn write_opt_string(out: &mut Vec<u8>, value: &Option<String>) {
-    match value {
-        Some(s) => {
-            out.push(1);
-            write_string(out, s);
-        }
-        None => out.push(0),
-    }
-}
-
-fn read_opt_string(r: &mut Reader<'_>) -> Result<Option<String>, SnapshotError> {
-    match read_byte(r)? {
-        0 => Ok(None),
-        1 => Ok(Some(r.read_string().map_err(|e| corrupt(e.to_string()))?)),
-        other => Err(corrupt(format!("bad option tag {other}"))),
-    }
-}
-
-fn write_opt_span(out: &mut Vec<u8>, span: &Option<(u64, u64, u64, u64)>) {
-    match span {
-        Some((a, b, c, d)) => {
-            out.push(1);
-            for v in [a, b, c, d] {
-                provbench_rdf::codec::write_varint(out, *v);
-            }
-        }
-        None => out.push(0),
-    }
-}
-
-fn read_opt_span(r: &mut Reader<'_>) -> Result<Option<(u64, u64, u64, u64)>, SnapshotError> {
-    let c = |e: provbench_rdf::RdfError| corrupt(e.to_string());
-    match read_byte(r)? {
-        0 => Ok(None),
-        1 => Ok(Some((
-            r.read_varint().map_err(c)?,
-            r.read_varint().map_err(c)?,
-            r.read_varint().map_err(c)?,
-            r.read_varint().map_err(c)?,
-        ))),
-        other => Err(corrupt(format!("bad option tag {other}"))),
-    }
-}
-
-fn write_string_list(out: &mut Vec<u8>, list: &[String]) {
-    provbench_rdf::codec::write_varint(out, list.len() as u64);
-    for s in list {
-        write_string(out, s);
-    }
-}
-
-fn read_string_list(r: &mut Reader<'_>) -> Result<Vec<String>, SnapshotError> {
-    let c = |e: provbench_rdf::RdfError| corrupt(e.to_string());
-    let count = r.read_varint().map_err(c)? as usize;
-    let mut out = Vec::with_capacity(count.min(1 << 16));
-    for _ in 0..count {
-        out.push(r.read_string().map_err(c)?);
-    }
-    Ok(out)
-}
-
-/// Serialize a lint cache into a complete `corpus.lint.snapshot` file.
-pub fn encode_lint(cache: &LintCache) -> Vec<u8> {
-    let mut body = Vec::new();
-    provbench_rdf::codec::write_varint(&mut body, cache.catalog);
-    provbench_rdf::codec::write_varint(&mut body, cache.entries.len() as u64);
-    for entry in &cache.entries {
-        write_string(&mut body, &entry.path);
-        provbench_rdf::codec::write_varint(&mut body, entry.fingerprint);
-        let s = &entry.summary;
-        write_string_list(&mut body, &s.declared);
-        write_string_list(&mut body, &s.used_targets);
-        write_string_list(&mut body, &s.derived_targets);
-        write_string_list(&mut body, &s.references);
-        provbench_rdf::codec::write_varint(&mut body, s.derivations.len() as u64);
-        for (d, src) in &s.derivations {
-            write_string(&mut body, d);
-            write_string(&mut body, src);
-        }
-        provbench_rdf::codec::write_varint(&mut body, s.events.len() as u64);
-        for e in &s.events {
-            body.push(e.from_kind);
-            write_string(&mut body, &e.from);
-            body.push(e.to_kind);
-            write_string(&mut body, &e.to);
-            body.push(u8::from(e.strict) | (u8::from(e.derivation) << 1));
-        }
-        write_opt_string(&mut body, &s.time_min);
-        write_opt_string(&mut body, &s.time_max);
-        provbench_rdf::codec::write_varint(&mut body, entry.diagnostics.len() as u64);
-        for d in &entry.diagnostics {
-            write_string(&mut body, &d.rule_id);
-            body.push(d.severity);
-            write_string(&mut body, &d.message);
-            write_opt_string(&mut body, &d.file);
-            write_opt_span(&mut body, &d.span);
-            write_opt_string(&mut body, &d.node);
-            provbench_rdf::codec::write_varint(&mut body, d.related.len() as u64);
-            for rel in &d.related {
-                write_string(&mut body, &rel.message);
-                write_opt_string(&mut body, &rel.file);
-                write_opt_span(&mut body, &rel.span);
-            }
-        }
-    }
-    let mut out = Vec::with_capacity(HEADER_LEN + body.len());
-    out.extend_from_slice(&LINT_MAGIC);
-    out.extend_from_slice(&LINT_VERSION.to_le_bytes());
-    out.extend_from_slice(&fnv1a(&body).to_le_bytes());
-    out.extend_from_slice(&body);
-    out
-}
-
-/// Decode and fully validate a lint snapshot. Any failure is
-/// recoverable: the linter simply re-analyzes every file.
-pub fn decode_lint(bytes: &[u8]) -> Result<LintCache, SnapshotError> {
-    if bytes.len() < HEADER_LEN {
-        return Err(SnapshotError::Truncated);
-    }
-    if bytes[..6] != LINT_MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    let version = u16::from_le_bytes([bytes[6], bytes[7]]);
-    if version != LINT_VERSION {
-        return Err(SnapshotError::Version(version));
-    }
-    let checksum = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
-    let body = &bytes[HEADER_LEN..];
-    if fnv1a(body) != checksum {
-        return Err(SnapshotError::Checksum);
-    }
-    let c = |e: provbench_rdf::RdfError| corrupt(e.to_string());
-    let mut r = Reader::new(body);
-    let catalog = r.read_varint().map_err(c)?;
-    let entry_count = r.read_varint().map_err(c)? as usize;
-    let mut entries = Vec::with_capacity(entry_count.min(1 << 16));
-    for _ in 0..entry_count {
-        let path = r.read_string().map_err(c)?;
-        let fingerprint = r.read_varint().map_err(c)?;
-        let mut summary = SummaryRecord {
-            declared: read_string_list(&mut r)?,
-            used_targets: read_string_list(&mut r)?,
-            derived_targets: read_string_list(&mut r)?,
-            references: read_string_list(&mut r)?,
-            ..SummaryRecord::default()
-        };
-        let derivation_count = r.read_varint().map_err(c)? as usize;
-        for _ in 0..derivation_count {
-            let d = r.read_string().map_err(c)?;
-            let s = r.read_string().map_err(c)?;
-            summary.derivations.push((d, s));
-        }
-        let event_count = r.read_varint().map_err(c)? as usize;
-        for _ in 0..event_count {
-            let from_kind = read_byte(&mut r)?;
-            let from = r.read_string().map_err(c)?;
-            let to_kind = read_byte(&mut r)?;
-            let to = r.read_string().map_err(c)?;
-            let flags = read_byte(&mut r)?;
-            if flags > 0b11 {
-                return Err(corrupt(format!("bad event edge flags {flags}")));
-            }
-            summary.events.push(EventEdgeRecord {
-                from_kind,
-                from,
-                to_kind,
-                to,
-                strict: flags & 1 != 0,
-                derivation: flags & 2 != 0,
-            });
-        }
-        summary.time_min = read_opt_string(&mut r)?;
-        summary.time_max = read_opt_string(&mut r)?;
-        let diagnostic_count = r.read_varint().map_err(c)? as usize;
-        let mut diagnostics = Vec::with_capacity(diagnostic_count.min(1 << 16));
-        for _ in 0..diagnostic_count {
-            let rule_id = r.read_string().map_err(c)?;
-            let severity = read_byte(&mut r)?;
-            if severity > 2 {
-                return Err(corrupt(format!("bad severity code {severity}")));
-            }
-            let message = r.read_string().map_err(c)?;
-            let file = read_opt_string(&mut r)?;
-            let span = read_opt_span(&mut r)?;
-            let node = read_opt_string(&mut r)?;
-            let related_count = r.read_varint().map_err(c)? as usize;
-            let mut related = Vec::with_capacity(related_count.min(1 << 16));
-            for _ in 0..related_count {
-                related.push(RelatedRecord {
-                    message: r.read_string().map_err(c)?,
-                    file: read_opt_string(&mut r)?,
-                    span: read_opt_span(&mut r)?,
-                });
-            }
-            diagnostics.push(DiagnosticRecord {
-                rule_id,
-                severity,
-                message,
-                file,
-                span,
-                node,
-                related,
-            });
-        }
-        entries.push(LintEntry {
-            path,
-            fingerprint,
-            summary,
-            diagnostics,
-        });
-    }
-    if !r.is_empty() {
-        return Err(corrupt(format!("{} trailing bytes", r.remaining())));
-    }
-    Ok(LintCache { catalog, entries })
-}
+/// Current lint snapshot format version. v2 replaced each entry's
+/// content hash with a source manifest (see [`crate::manifest`]).
+pub const LINT_VERSION: u16 = 2;
 
 #[cfg(test)]
 mod tests {
@@ -818,11 +559,9 @@ mod tests {
     #[test]
     fn roundtrip_preserves_corpus_and_union() {
         let corpus = sample_corpus();
-        let manifest = vec![("a/b.ttl".to_owned(), 600u64), ("c.trig".to_owned(), 634)];
+        let manifest = sample_manifest(&["a/b.ttl", "c.trig"]);
         let bytes = encode(&corpus, 42, 1234, &manifest);
         let decoded = decode(&bytes).unwrap();
-        assert_eq!(decoded.source_files, 42);
-        assert_eq!(decoded.source_bytes, 1234);
         assert_eq!(decoded.manifest, manifest);
         assert_eq!(decoded.corpus.descriptions.len(), corpus.descriptions.len());
         assert_eq!(decoded.corpus.traces.len(), corpus.traces.len());
@@ -838,6 +577,23 @@ mod tests {
             assert_eq!(a.dataset, b.dataset);
         }
         assert_eq!(decoded.union, corpus.combined_dataset().union_graph());
+    }
+
+    #[test]
+    fn redate_moves_stats_and_keeps_the_corpus() {
+        let corpus = sample_corpus();
+        let manifest = sample_manifest(&["a/b.ttl", "c.trig"]);
+        let bytes = encode(&corpus, 2, 1800, &manifest);
+        let mut moved = manifest.clone();
+        moved[1].stat.mtime_ns += 1_000_000_000;
+        let redated = redate(&bytes, &moved).unwrap();
+        let decoded = decode(&redated).unwrap();
+        assert_eq!(decoded.manifest, moved);
+        assert_eq!(decoded.union, corpus.combined_dataset().union_graph());
+        // Other bytes, or other files, cannot be redated into it.
+        moved[1].hash += 1;
+        assert_eq!(redate(&bytes, &moved), None);
+        assert_eq!(redate(&bytes, &manifest[..1]), None);
     }
 
     #[test]
@@ -954,101 +710,19 @@ mod tests {
         );
     }
 
-    fn sample_lint_cache() -> LintCache {
-        LintCache {
-            catalog: 0xDEAD_BEEF,
-            entries: vec![
-                LintEntry {
-                    path: "examples/taverna/run-1.prov.ttl".into(),
-                    fingerprint: 42,
-                    summary: SummaryRecord {
-                        declared: vec!["http://e/a".into(), "http://e/b".into()],
-                        used_targets: vec!["http://e/b".into()],
-                        derived_targets: vec![],
-                        references: vec!["http://e/b".into()],
-                        derivations: vec![("http://e/a".into(), "http://e/b".into())],
-                        events: vec![EventEdgeRecord {
-                            from_kind: 2,
-                            from: "http://e/b".into(),
-                            to_kind: 2,
-                            to: "http://e/a".into(),
-                            strict: true,
-                            derivation: true,
-                        }],
-                        time_min: Some("2013-01-01T00:00:00Z".into()),
-                        time_max: None,
-                    },
-                    diagnostics: vec![DiagnosticRecord {
-                        rule_id: "PB0107".into(),
-                        severity: 2,
-                        message: "impossible cycle".into(),
-                        file: Some("examples/taverna/run-1.prov.ttl".into()),
-                        span: Some((3, 5, 3, 40)),
-                        node: Some("http://e/a".into()),
-                        related: vec![RelatedRecord {
-                            message: "cycle member".into(),
-                            file: None,
-                            span: None,
-                        }],
-                    }],
+    fn sample_manifest(paths: &[&str]) -> Vec<SourceRecord> {
+        paths
+            .iter()
+            .zip(1u64..)
+            .map(|(path, i)| SourceRecord {
+                path: (*path).to_owned(),
+                stat: FileStat {
+                    len: 600 * i,
+                    mtime_ns: 1_700_000_000_123_456_789 + i,
+                    ctime_ns: 1_700_000_000_987_654_321 + i,
                 },
-                LintEntry {
-                    path: "examples/wings/run-1.prov.trig".into(),
-                    fingerprint: 7,
-                    summary: SummaryRecord::default(),
-                    diagnostics: vec![],
-                },
-            ],
-        }
-    }
-
-    #[test]
-    fn lint_cache_round_trips() {
-        let cache = sample_lint_cache();
-        let bytes = encode_lint(&cache);
-        assert_eq!(decode_lint(&bytes).unwrap(), cache);
-        // Deterministic bytes.
-        assert_eq!(bytes, encode_lint(&cache));
-    }
-
-    #[test]
-    fn lint_cache_header_validation() {
-        let bytes = encode_lint(&sample_lint_cache());
-        assert_eq!(
-            decode_lint(&bytes[..4]).unwrap_err(),
-            SnapshotError::Truncated
-        );
-        // A corpus snapshot is not a lint snapshot.
-        let corpus_bytes = encode(&sample_corpus(), 0, 0, &[]);
-        assert_eq!(
-            decode_lint(&corpus_bytes).unwrap_err(),
-            SnapshotError::BadMagic
-        );
-        let mut stale = bytes.clone();
-        stale[6] = 0xFE;
-        stale[7] = 0xFF;
-        assert_eq!(
-            decode_lint(&stale).unwrap_err(),
-            SnapshotError::Version(0xFFFE)
-        );
-        let mut flipped = bytes.clone();
-        let last = flipped.len() - 1;
-        flipped[last] ^= 0x01;
-        assert_eq!(decode_lint(&flipped).unwrap_err(), SnapshotError::Checksum);
-    }
-
-    #[test]
-    fn lint_cache_rejects_tampered_body_with_fixed_checksum() {
-        let bytes = encode_lint(&sample_lint_cache());
-        // Truncate one trailing byte and re-seal: structural validation
-        // must catch it.
-        let body = &bytes[HEADER_LEN..bytes.len() - 1];
-        let mut resealed = bytes[..8].to_vec();
-        resealed.extend_from_slice(&fnv1a(body).to_le_bytes());
-        resealed.extend_from_slice(body);
-        assert!(matches!(
-            decode_lint(&resealed).unwrap_err(),
-            SnapshotError::Corrupt(_)
-        ));
+                hash: 0xFEED_0000 + i,
+            })
+            .collect()
     }
 }

@@ -5,18 +5,17 @@
 use crate::fsio::{StoreFs, REAL_FS};
 use crate::generate::{Corpus, TraceRecord};
 use crate::ingest::{IngestError, IngestReport, INGEST_REPORT_FILE};
+use crate::manifest::{self, Manifest, SourceFile, SourceRecord};
 use crate::snapshot::{self, SNAPSHOT_FILE, VERSION};
 use provbench_obs::{Registry, LATENCY_BUCKETS};
 use provbench_rdf::{
     parse_trig, parse_turtle, write_trig, write_turtle, Dataset, Graph, ParseError, PrefixMap,
 };
 use provbench_workflow::System;
-use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Counter of source files parsed (`result="loaded"|"quarantined"`).
@@ -185,7 +184,7 @@ impl LoadedCorpus {
         for d in &self.descriptions {
             ds.default_graph_mut().extend_from_graph(&d.graph);
         }
-        for (i, t) in self.traces.iter().enumerate() {
+        for t in &self.traces {
             match t.system {
                 System::Taverna => {
                     let name = provbench_rdf::Iri::new_unchecked(format!(
@@ -196,13 +195,12 @@ impl LoadedCorpus {
                 }
                 System::Wings => ds.merge(&t.dataset),
             }
-            let _ = i;
         }
         ds
     }
 }
 
-/// What kind of corpus file a directory entry is.
+/// What kind of corpus file a source is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum FileKind {
     Description,
@@ -210,74 +208,57 @@ enum FileKind {
     TraceTrig,
 }
 
-/// One RDF file discovered in a corpus directory, in deterministic walk
-/// order (system, then template, then file name).
-#[derive(Clone, Debug)]
-struct CorpusFile {
-    path: PathBuf,
-    /// Path relative to the corpus directory, for reports.
-    rel: String,
-    system: System,
-    template_name: String,
-    kind: FileKind,
+/// Where a corpus-relative path sits in the layout [`save`] writes —
+/// `<system>/<template>/<file>` — and what kind of file it is; `None`
+/// for anything else.
+fn classify(rel: &str) -> Option<(System, &str, FileKind)> {
+    let mut parts = rel.split('/');
+    let (Some(dir), Some(template), Some(name), None) =
+        (parts.next(), parts.next(), parts.next(), parts.next())
+    else {
+        return None;
+    };
+    let system = system_dir(dir)?;
+    let kind = if name == description_file(system) {
+        FileKind::Description
+    } else if name.ends_with(".prov.ttl") {
+        FileKind::TraceTurtle
+    } else if name.ends_with(".prov.trig") {
+        FileKind::TraceTrig
+    } else {
+        return None;
+    };
+    Some((system, template, kind))
 }
 
-/// Walk a corpus directory and list its RDF files without reading them.
-fn collect_corpus_files(dir: &Path) -> io::Result<Vec<CorpusFile>> {
-    let mut files = Vec::new();
-    for system in [System::Taverna, System::Wings] {
-        let sysdir = dir.join(system.name().to_ascii_lowercase());
-        if !sysdir.exists() {
-            continue;
+/// The system whose traces live under directory `dir`.
+fn system_dir(dir: &str) -> Option<System> {
+    [System::Taverna, System::Wings]
+        .into_iter()
+        .find(|s| s.name().to_ascii_lowercase() == dir)
+}
+
+/// The corpus's RDF sources — every regular file under `taverna/` and
+/// `wings/` that [`save`] would write, through symlinks, stat'd through
+/// `fs` — in path order. The files at the corpus root (`void.ttl`,
+/// caches) are not sources. A missing directory has none.
+pub fn source_files(dir: &Path, fs: &dyn StoreFs) -> io::Result<Vec<SourceFile>> {
+    // Enter only `<system>/` and `<system>/<template>/`.
+    let keep = |rel: &str| match rel.strip_suffix('/') {
+        Some(dir) => {
+            let mut parts = dir.split('/');
+            parts.next().and_then(system_dir).is_some() && parts.count() <= 1
         }
-        let mut template_dirs: Vec<PathBuf> = fs::read_dir(&sysdir)?
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .filter(|p| p.is_dir())
-            .collect();
-        template_dirs.sort();
-        for tdir in template_dirs {
-            let template_name = tdir
-                .file_name()
-                .and_then(|n| n.to_str())
-                .unwrap_or_default()
-                .to_owned();
-            let mut entries: Vec<PathBuf> = fs::read_dir(&tdir)?
-                .filter_map(|e| e.ok())
-                .map(|e| e.path())
-                .filter(|p| p.is_file())
-                .collect();
-            entries.sort();
-            for path in entries {
-                let name = path
-                    .file_name()
-                    .and_then(|n| n.to_str())
-                    .unwrap_or_default();
-                let kind = if name == description_file(system) {
-                    FileKind::Description
-                } else if name.ends_with(".prov.ttl") {
-                    FileKind::TraceTurtle
-                } else if name.ends_with(".prov.trig") {
-                    FileKind::TraceTrig
-                } else {
-                    continue;
-                };
-                let rel = path
-                    .strip_prefix(dir)
-                    .unwrap_or(&path)
-                    .to_string_lossy()
-                    .into_owned();
-                files.push(CorpusFile {
-                    path,
-                    rel,
-                    system,
-                    template_name: template_name.clone(),
-                    kind,
-                });
-            }
-        }
+        None => classify(rel).is_some(),
+    };
+    match manifest::walk(dir, fs, true, &keep) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Vec::new()),
+        // A file root is walked as itself, but it is no corpus.
+        walked => Ok(walked?
+            .into_iter()
+            .filter(|f| classify(&f.rel).is_some())
+            .collect()),
     }
-    Ok(files)
 }
 
 /// Result of parsing one corpus file.
@@ -286,21 +267,22 @@ enum ParsedFile {
     Trace(LoadedTrace),
 }
 
-/// Wrap an I/O failure as a quarantine record.
-fn io_ingest_error(file: &CorpusFile, e: &io::Error) -> IngestError {
+/// Wrap a failure to read a file (`io`), or to decode its bytes, as a
+/// quarantine record.
+fn read_ingest_error(file: &SourceFile, e: &io::Error, io: bool) -> IngestError {
     IngestError {
         path: file.rel.clone(),
         message: e.to_string(),
         line: None,
         column: None,
         byte_offset: None,
-        io: true,
+        io,
     }
 }
 
 /// Wrap a parse failure as a quarantine record, carrying line, column
 /// and byte offset so the report is actionable without re-parsing.
-fn parse_ingest_error(file: &CorpusFile, e: &ParseError, content: &str) -> IngestError {
+fn parse_ingest_error(file: &SourceFile, e: &ParseError, content: &str) -> IngestError {
     IngestError {
         path: file.rel.clone(),
         // The bare message: IngestError's Display adds the position.
@@ -312,48 +294,46 @@ fn parse_ingest_error(file: &CorpusFile, e: &ParseError, content: &str) -> Inges
     }
 }
 
-fn parse_corpus_file(file: &CorpusFile, fs: &dyn StoreFs) -> Result<ParsedFile, IngestError> {
-    let content = fs
-        .read_to_string(&file.path)
-        .map_err(|e| io_ingest_error(file, &e))?;
-    let name = file
-        .path
-        .file_name()
-        .and_then(|n| n.to_str())
-        .unwrap_or_default();
-    match file.kind {
-        FileKind::Description => {
-            let (g, _) =
-                parse_turtle(&content).map_err(|e| parse_ingest_error(file, &e, &content))?;
-            Ok(ParsedFile::Description(LoadedDescription {
-                system: file.system,
-                template_name: file.template_name.clone(),
-                graph: g,
-            }))
-        }
-        FileKind::TraceTurtle => {
-            let (g, _) =
-                parse_turtle(&content).map_err(|e| parse_ingest_error(file, &e, &content))?;
+/// Read and parse one source. The record of its bytes comes back too,
+/// when the read succeeded — a file that does not decode or parse is
+/// still recorded, so its quarantine survives a warm open; one that
+/// could not be read is not, so the next open tries it again.
+fn parse_corpus_file(
+    file: &SourceFile,
+    fs: &dyn StoreFs,
+) -> (Option<SourceRecord>, Result<ParsedFile, IngestError>) {
+    let (system, template, kind) = classify(&file.rel).expect("sources are classified");
+    let (record, content) = match manifest::read_source(file, fs) {
+        Ok((record, Ok(content))) => (record, content),
+        Ok((record, Err(e))) => return (Some(record), Err(read_ingest_error(file, &e, false))),
+        Err(e) => return (None, Err(read_ingest_error(file, &e, true))),
+    };
+    let name = file.rel.rsplit('/').next().unwrap_or_default();
+    let trace = |suffix: &str, dataset| {
+        ParsedFile::Trace(LoadedTrace {
+            run_id: name.trim_end_matches(suffix).to_owned(),
+            system,
+            template_name: template.to_owned(),
+            dataset,
+        })
+    };
+    let parse_error = |e: ParseError| parse_ingest_error(file, &e, &content);
+    let parsed = match kind {
+        FileKind::Description => parse_turtle(&content).map(|(graph, _)| {
+            ParsedFile::Description(LoadedDescription {
+                system,
+                template_name: template.to_owned(),
+                graph,
+            })
+        }),
+        FileKind::TraceTurtle => parse_turtle(&content).map(|(g, _)| {
             let mut ds = Dataset::new();
             *ds.default_graph_mut() = g;
-            Ok(ParsedFile::Trace(LoadedTrace {
-                run_id: name.trim_end_matches(".prov.ttl").to_owned(),
-                system: file.system,
-                template_name: file.template_name.clone(),
-                dataset: ds,
-            }))
-        }
-        FileKind::TraceTrig => {
-            let (ds, _) =
-                parse_trig(&content).map_err(|e| parse_ingest_error(file, &e, &content))?;
-            Ok(ParsedFile::Trace(LoadedTrace {
-                run_id: name.trim_end_matches(".prov.trig").to_owned(),
-                system: file.system,
-                template_name: file.template_name.clone(),
-                dataset: ds,
-            }))
-        }
-    }
+            trace(".prov.ttl", ds)
+        }),
+        FileKind::TraceTrig => parse_trig(&content).map(|(ds, _)| trace(".prov.trig", ds)),
+    };
+    (Some(record), parsed.map_err(parse_error))
 }
 
 /// Default parser fan-out for [`load_with_threads`]: the machine's
@@ -366,81 +346,54 @@ pub fn default_load_jobs() -> usize {
         .min(8)
 }
 
-/// [`parse_corpus_file`] with its latency and outcome recorded.
-fn parse_corpus_file_timed(
-    file: &CorpusFile,
-    fs: &dyn StoreFs,
-    metrics: &Registry,
-) -> Result<ParsedFile, IngestError> {
-    let start = Instant::now();
-    let result = parse_corpus_file(file, fs);
-    metrics
-        .histogram(
-            INGEST_FILE_SECONDS,
-            "Per-file corpus read+parse time",
-            LATENCY_BUCKETS,
-        )
-        .observe_duration(start.elapsed());
-    let outcome = if result.is_ok() {
-        "loaded"
-    } else {
-        "quarantined"
-    };
-    metrics
-        .counter_with(
-            INGEST_FILES_TOTAL,
-            "Corpus source files parsed, by outcome",
-            &[("result", outcome)],
-        )
-        .inc();
-    result
-}
-
-/// Parse a listed set of files, fanning out over `jobs` worker threads.
-/// Files that fail to read or parse are quarantined, never fatal: the
-/// good files come back in listing order (so parallel and sequential
-/// loads are identical) alongside the quarantine records.
+/// Parse a listed set of files, fanning out over `jobs` worker threads,
+/// each file's latency and outcome recorded. Files that fail to read or
+/// parse are quarantined, never fatal: the good files come back in
+/// listing order (so parallel and sequential loads are identical)
+/// alongside the quarantine records, and with the record of every file
+/// that was read.
 fn parse_files(
-    files: &[CorpusFile],
+    files: &[SourceFile],
     jobs: usize,
     fs: &dyn StoreFs,
     metrics: &Registry,
-) -> (Vec<ParsedFile>, Vec<IngestError>) {
-    let results: Vec<Result<ParsedFile, IngestError>> = if jobs <= 1 || files.len() <= 1 {
-        files
-            .iter()
-            .map(|f| parse_corpus_file_timed(f, fs, metrics))
-            .collect()
-    } else {
-        let next = AtomicUsize::new(0);
-        let slots: Mutex<Vec<(usize, Result<ParsedFile, IngestError>)>> =
-            Mutex::new(Vec::with_capacity(files.len()));
-        std::thread::scope(|scope| {
-            for _ in 0..jobs.min(files.len()) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(file) = files.get(i) else { break };
-                    let parsed = parse_corpus_file_timed(file, fs, metrics);
-                    slots
-                        .lock()
-                        .expect("corpus parser panicked")
-                        .push((i, parsed));
-                });
-            }
-        });
-        let mut slots = slots.into_inner().expect("corpus parser panicked");
-        slots.sort_by_key(|(i, _)| *i);
-        slots.into_iter().map(|(_, r)| r).collect()
-    };
-    let mut parsed = Vec::with_capacity(files.len());
-    let mut errors = Vec::new();
-    for r in results {
-        match r {
-            Ok(p) => parsed.push(p),
-            Err(e) => errors.push(e),
+) -> (LoadOutcome, Vec<SourceRecord>) {
+    let parsed = crate::par_map(files, jobs, |file| {
+        let start = Instant::now();
+        let (record, result) = parse_corpus_file(file, fs);
+        metrics
+            .histogram(
+                INGEST_FILE_SECONDS,
+                "Per-file corpus read+parse time",
+                LATENCY_BUCKETS,
+            )
+            .observe_duration(start.elapsed());
+        let outcome = if result.is_ok() {
+            "loaded"
+        } else {
+            "quarantined"
+        };
+        metrics
+            .counter_with(
+                INGEST_FILES_TOTAL,
+                "Corpus source files parsed, by outcome",
+                &[("result", outcome)],
+            )
+            .inc();
+        (record, result)
+    });
+    let mut out = LoadOutcome::default();
+    out.report.attempted = files.len();
+    let mut records = Vec::with_capacity(files.len());
+    for (record, result) in parsed {
+        records.extend(record);
+        match result {
+            Ok(ParsedFile::Description(d)) => out.corpus.descriptions.push(d),
+            Ok(ParsedFile::Trace(t)) => out.corpus.traces.push(t),
+            Err(e) => out.report.errors.push(e),
         }
     }
-    (parsed, errors)
+    (out, records)
 }
 
 /// A corpus loaded from disk together with its quarantine report.
@@ -468,22 +421,8 @@ pub fn load(dir: &Path) -> io::Result<LoadedCorpus> {
 /// Files that fail to read or parse are quarantined into the outcome's
 /// [`IngestReport`] rather than aborting the load.
 pub fn load_with_threads(dir: &Path, jobs: usize) -> io::Result<LoadOutcome> {
-    let files = collect_corpus_files(dir)?;
-    let (parsed, errors) = parse_files(&files, jobs, &REAL_FS, provbench_obs::global());
-    let mut corpus = LoadedCorpus::default();
-    for p in parsed {
-        match p {
-            ParsedFile::Description(d) => corpus.descriptions.push(d),
-            ParsedFile::Trace(t) => corpus.traces.push(t),
-        }
-    }
-    Ok(LoadOutcome {
-        corpus,
-        report: IngestReport {
-            attempted: files.len(),
-            errors,
-        },
-    })
+    let files = source_files(dir, &REAL_FS)?;
+    Ok(parse_files(&files, jobs, &REAL_FS, provbench_obs::global()).0)
 }
 
 /// How a [`CorpusStore`] came to hold its data.
@@ -521,6 +460,10 @@ pub struct CorpusStore {
     /// open this is the report persisted by the build that wrote the
     /// snapshot; empty when every file loaded.
     pub ingest: IngestReport,
+    /// The sources this store was built from, dated by the snapshot
+    /// that holds them (stamp 0 when none was written): what the `serve`
+    /// watcher checks the directory against (see [`check_sources`]).
+    pub manifest: Manifest,
 }
 
 /// Knobs for opening or building a [`CorpusStore`].
@@ -555,70 +498,14 @@ impl Default for StoreOptions<'static> {
     }
 }
 
-/// Current source-tree fingerprint of a corpus directory (file count +
-/// total byte size), as compared against the snapshot's recorded one.
-/// Used by the endpoint's staleness watcher.
+/// File count and total byte size of a corpus directory's sources.
 pub fn source_fingerprint(dir: &Path) -> io::Result<(u64, u64)> {
-    let files = collect_corpus_files(dir)?;
-    Ok(fingerprint_of(&files, &REAL_FS))
+    Ok(source_totals(&source_files(dir, &REAL_FS)?))
 }
 
-fn fingerprint_of(files: &[CorpusFile], fs: &dyn StoreFs) -> (u64, u64) {
-    let bytes = files
-        .iter()
-        .map(|f| fs.file_len(&f.path).unwrap_or(0))
-        .sum::<u64>();
+fn source_totals(files: &[SourceFile]) -> (u64, u64) {
+    let bytes = files.iter().filter_map(|f| f.stat).map(|s| s.len).sum();
     (files.len() as u64, bytes)
-}
-
-/// Per-file `(relative path, byte size)` manifest, sorted by path —
-/// persisted in the snapshot so a stale-snapshot rebuild can say *which*
-/// files changed rather than just "something did".
-fn manifest_of(files: &[CorpusFile], fs: &dyn StoreFs) -> Vec<(String, u64)> {
-    let mut manifest: Vec<(String, u64)> = files
-        .iter()
-        .map(|f| (f.rel.clone(), fs.file_len(&f.path).unwrap_or(0)))
-        .collect();
-    manifest.sort();
-    manifest
-}
-
-/// Human-readable diff of two manifests: up to three changed/added/
-/// removed paths, plus a remainder count. Empty when either side has no
-/// manifest to compare (e.g. an in-memory snapshot).
-fn manifest_diff(old: &[(String, u64)], new: &[(String, u64)]) -> String {
-    if old.is_empty() && new.is_empty() {
-        return String::new();
-    }
-    let old_map: BTreeMap<&str, u64> = old.iter().map(|(p, s)| (p.as_str(), *s)).collect();
-    let new_map: BTreeMap<&str, u64> = new.iter().map(|(p, s)| (p.as_str(), *s)).collect();
-    let mut changes: Vec<String> = Vec::new();
-    for (path, size) in &new_map {
-        match old_map.get(path) {
-            None => changes.push(format!("added {path}")),
-            Some(old_size) if old_size != size => changes.push(format!("changed {path}")),
-            Some(_) => {}
-        }
-    }
-    for path in old_map.keys() {
-        if !new_map.contains_key(path) {
-            changes.push(format!("removed {path}"));
-        }
-    }
-    if changes.is_empty() {
-        return String::new();
-    }
-    let shown = changes
-        .iter()
-        .take(3)
-        .cloned()
-        .collect::<Vec<_>>()
-        .join(", ");
-    if changes.len() > 3 {
-        format!(" ({shown}, and {} more)", changes.len() - 3)
-    } else {
-        format!(" ({shown})")
-    }
 }
 
 /// Held while (re)building a snapshot; removes the lock file on drop.
@@ -637,49 +524,83 @@ impl Drop for BuildLock<'_> {
 const INGEST_REPORT_TMP: &str = "corpus.ingest-report.tmp";
 
 /// Take the build lock, waiting with backoff and stealing it after the
-/// timeout. `None` when the filesystem refuses lock operations — the
-/// lock is advisory, so the build proceeds unlocked rather than failing.
-fn acquire_lock<'fs>(dir: &Path, opts: &StoreOptions<'fs>) -> Option<BuildLock<'fs>> {
+/// timeout. Between waits `between_waits` runs, and may end the wait
+/// with its own result (`Err`). `Ok(None)` when the filesystem refuses
+/// lock operations — the lock is advisory, so the build proceeds
+/// unlocked rather than failing.
+fn acquire_lock<'fs, T>(
+    dir: &Path,
+    opts: &StoreOptions<'fs>,
+    mut between_waits: impl FnMut() -> Option<T>,
+) -> Result<Option<BuildLock<'fs>>, T> {
     let path = dir.join(SNAPSHOT_LOCK);
     let deadline = Instant::now() + opts.lock_timeout;
     let mut backoff = Duration::from_millis(5);
     let mut stole = false;
     loop {
         match opts.fs.create_lock(&path) {
-            Ok(()) => return Some(BuildLock { fs: opts.fs, path }),
+            Ok(()) => return Ok(Some(BuildLock { fs: opts.fs, path })),
             Err(e) if e.kind() == io::ErrorKind::AlreadyExists && !stole => {
                 if Instant::now() >= deadline {
+                    // Assume the holder crashed; steal its lock.
                     let _ = opts.fs.remove_file(&path);
                     stole = true;
                     continue;
                 }
                 std::thread::sleep(backoff);
                 backoff = (backoff * 2).min(Duration::from_millis(100));
+                if let Some(done) = between_waits() {
+                    return Err(done);
+                }
             }
-            Err(_) => return None,
+            // A filesystem fault here (or a failed steal) degrades to
+            // an unlocked build, never blocks loading.
+            Err(_) => return Ok(None),
         }
     }
 }
 
-/// Crash-safe publish: write everything to `tmp` (fsynced by the
-/// [`StoreFs`] contract), then atomically rename over `dest`. A crash or
-/// fault at any point leaves either the old `dest` or litter at `tmp` —
-/// never a torn `dest` (and a torn `dest` from a non-atomic filesystem
-/// is caught by snapshot/report validation on the next open).
-fn write_atomic(fs: &dyn StoreFs, tmp: &Path, dest: &Path, bytes: &[u8]) -> io::Result<()> {
-    let result = fs.write(tmp, bytes).and_then(|()| fs.rename(tmp, dest));
-    if result.is_err() {
-        let _ = fs.remove_file(tmp);
+/// Check `files`, the sources of `dir` as [`source_files`] lists them,
+/// against `manifest`, the records of a store opened from `dir`; `Err`
+/// lists the changes (see [`Manifest::check`]). A file `unreadable`
+/// names that still cannot be read is no change. When no file changed
+/// but a stat moved, the moved records go into `manifest` and, under the
+/// build lock taken without waiting, into the snapshot (see
+/// [`snapshot::redate`]), whose new mtime dates them: the next check
+/// reads none of those files. Where the snapshot is not rewritten (a
+/// read-only directory, a build in progress), `manifest` keeps its old
+/// stamp, and the next check reads those files again.
+pub fn check_sources(
+    dir: &Path,
+    fs: &dyn StoreFs,
+    manifest: &mut Manifest,
+    files: &[SourceFile],
+    unreadable: &[String],
+) -> Result<(), Vec<String>> {
+    let Some(records) = manifest.check(files, fs, unreadable)? else {
+        return Ok(());
+    };
+    let (path, lock) = (dir.join(SNAPSHOT_FILE), dir.join(SNAPSHOT_LOCK));
+    if fs.create_lock(&lock).is_ok() {
+        let _lock = BuildLock { fs, path: lock };
+        let redated = fs
+            .read(&path)
+            .ok()
+            .and_then(|b| snapshot::redate(&b, &records));
+        if redated.is_some_and(|b| fs.write_atomic(&dir.join(SNAPSHOT_TMP), &path, &b).is_ok()) {
+            manifest.stamp_ns = fs.stat(&path).map_or(manifest.stamp_ns, |s| s.mtime_ns);
+        }
     }
-    result
+    manifest.records = records;
+    Ok(())
 }
 
 /// Read the persisted quarantine report, if any. Unreadable or torn
 /// reports count as absent — they must never block a load.
 fn load_persisted_report(dir: &Path, fs: &dyn StoreFs) -> IngestReport {
-    fs.read_to_string(&dir.join(INGEST_REPORT_FILE))
-        .ok()
-        .and_then(|text| IngestReport::from_tsv(&text))
+    let text = fs.read(&dir.join(INGEST_REPORT_FILE)).ok();
+    let text = text.and_then(|bytes| String::from_utf8(bytes).ok());
+    text.and_then(|text| IngestReport::from_tsv(&text))
         .unwrap_or_default()
 }
 
@@ -689,10 +610,10 @@ impl CorpusStore {
     /// snapshot for next time.
     ///
     /// A snapshot is used only when it decodes cleanly (magic, version,
-    /// checksum and structural validation) *and* its recorded source
-    /// fingerprint still matches the directory; otherwise the store
-    /// falls back to a clean rebuild — corruption can cost time, never
-    /// correctness. Source files that fail to read or parse are
+    /// checksum and structural validation) *and* its source manifest
+    /// still matches every source (see [`Manifest::refresh`]); otherwise
+    /// the store falls back to a clean rebuild — corruption can cost
+    /// time, never correctness. Source files that fail to read or parse are
     /// quarantined (see [`StoreOptions::strict`] to fail fast instead).
     pub fn open_or_build(dir: &Path) -> io::Result<CorpusStore> {
         CorpusStore::open_or_build_opts(dir, &StoreOptions::default())
@@ -741,60 +662,34 @@ impl CorpusStore {
     }
 
     fn open_or_build_inner(dir: &Path, opts: &StoreOptions<'_>) -> io::Result<CorpusStore> {
-        let files = collect_corpus_files(dir)?;
-        let fingerprint = fingerprint_of(&files, opts.fs);
+        let files = source_files(dir, opts.fs)?;
 
         // Stale temp files are litter from a crashed build; sweep them
         // before they can be mistaken for anything.
         let _ = opts.fs.remove_file(&dir.join(SNAPSHOT_TMP));
         let _ = opts.fs.remove_file(&dir.join(INGEST_REPORT_TMP));
 
-        let mut rebuild_reason = match CorpusStore::try_warm(dir, &files, fingerprint, opts) {
+        let mut rebuild_reason = match CorpusStore::try_warm(dir, &files, opts) {
             Ok(store) => return store.check_strict(opts),
             Err(reason) => reason,
         };
 
         // Cold: coordinate with concurrent builders through the advisory
-        // lock. One caller builds; the others wait (with backoff) for the
-        // snapshot it publishes, stealing the lock only after
-        // `lock_timeout` (a crashed builder leaves its lock behind).
-        let lock_path = dir.join(SNAPSHOT_LOCK);
-        let deadline = Instant::now() + opts.lock_timeout;
-        let mut backoff = Duration::from_millis(5);
-        let mut stole = false;
-        let lock = loop {
-            match opts.fs.create_lock(&lock_path) {
-                Ok(()) => {
-                    break Some(BuildLock {
-                        fs: opts.fs,
-                        path: lock_path,
-                    })
-                }
-                Err(e) if e.kind() == io::ErrorKind::AlreadyExists && !stole => {
-                    if Instant::now() >= deadline {
-                        // Assume the holder crashed; steal its lock.
-                        let _ = opts.fs.remove_file(&lock_path);
-                        stole = true;
-                        continue;
-                    }
-                    std::thread::sleep(backoff);
-                    backoff = (backoff * 2).min(Duration::from_millis(100));
-                    // The holder may have published a snapshot meanwhile.
-                    match CorpusStore::try_warm(dir, &files, fingerprint, opts) {
-                        Ok(store) => return store.check_strict(opts),
-                        Err(reason) => rebuild_reason = reason,
-                    }
-                }
-                // The lock is advisory; a filesystem fault here (or a
-                // failed steal) must degrade to an unlocked build, never
-                // block loading.
-                Err(_) => break None,
-            }
+        // lock. One caller builds; the others wait for the snapshot it
+        // publishes, which the holder may have done between waits.
+        let lock = acquire_lock(dir, opts, || {
+            CorpusStore::try_warm(dir, &files, opts)
+                .map_err(|reason| rebuild_reason = reason)
+                .ok()
+        });
+        let lock = match lock {
+            Ok(lock) => lock,
+            Err(store) => return store.check_strict(opts),
         };
         // Double-checked: a builder we raced may have published between
         // our last warm attempt and acquiring the lock.
         if lock.is_some() {
-            if let Ok(store) = CorpusStore::try_warm(dir, &files, fingerprint, opts) {
+            if let Ok(store) = CorpusStore::try_warm(dir, &files, opts) {
                 return store.check_strict(opts);
             }
         }
@@ -804,17 +699,17 @@ impl CorpusStore {
     }
 
     /// Attempt a warm load: snapshot present, decodes cleanly, and its
-    /// recorded source fingerprint matches the directory. On failure the
-    /// `Err` carries the rebuild reason (`None` = no snapshot yet).
+    /// manifest still matches every source (see [`check_sources`]).
+    /// On failure the `Err` carries the rebuild reason (`None` = no
+    /// snapshot yet).
     fn try_warm(
         dir: &Path,
-        files: &[CorpusFile],
-        (source_files, source_bytes): (u64, u64),
+        files: &[SourceFile],
         opts: &StoreOptions<'_>,
     ) -> Result<CorpusStore, Option<String>> {
         let path = dir.join(SNAPSHOT_FILE);
-        let bytes = match opts.fs.read(&path) {
-            Ok(bytes) => bytes,
+        let (bytes, stamp_ns) = match manifest::read_dated(opts.fs, &path) {
+            Ok(read) => read,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Err(None),
             Err(e) => return Err(Some(format!("unreadable snapshot: {e}"))),
         };
@@ -827,44 +722,43 @@ impl CorpusStore {
                 LATENCY_BUCKETS,
             )
             .observe_duration(decode_start.elapsed());
-        match decoded {
-            Ok(decoded)
-                if decoded.source_files == source_files && decoded.source_bytes == source_bytes =>
-            {
-                Ok(CorpusStore {
-                    corpus: decoded.corpus,
-                    union: decoded.union,
-                    provenance: SnapshotProvenance {
-                        path,
-                        warm: true,
-                        version: VERSION,
-                        snapshot_bytes: bytes.len() as u64,
-                        source_files,
-                        source_bytes,
-                        rebuild_reason: None,
-                    },
-                    ingest: {
-                        // No persisted report = the build was clean; its
-                        // attempt count is the source file count.
-                        let mut report = load_persisted_report(dir, opts.fs);
-                        if report.attempted == 0 && report.errors.is_empty() {
-                            report.attempted = source_files as usize;
-                        }
-                        report
-                    },
-                })
-            }
-            Ok(decoded) => Err(Some(format!(
-                "source tree changed: snapshot saw {} files / {} bytes, \
-                 directory has {} files / {} bytes{}",
-                decoded.source_files,
-                decoded.source_bytes,
+        let decoded = decoded.map_err(|e| Some(e.to_string()))?;
+        let mut manifest = Manifest {
+            records: decoded.manifest,
+            stamp_ns,
+        };
+        if let Err(changes) = check_sources(dir, opts.fs, &mut manifest, files, &[]) {
+            let shown = changes[..changes.len().min(3)].join(", ");
+            let more = match changes.len().saturating_sub(3) {
+                0 => String::new(),
+                n => format!(", and {n} more"),
+            };
+            return Err(Some(format!("source tree changed: {shown}{more}")));
+        }
+        let (source_files, source_bytes) = source_totals(files);
+        Ok(CorpusStore {
+            corpus: decoded.corpus,
+            union: decoded.union,
+            provenance: SnapshotProvenance {
+                path,
+                warm: true,
+                version: VERSION,
+                snapshot_bytes: bytes.len() as u64,
                 source_files,
                 source_bytes,
-                manifest_diff(&decoded.manifest, &manifest_of(files, opts.fs)),
-            ))),
-            Err(e) => Err(Some(e.to_string())),
-        }
+                rebuild_reason: None,
+            },
+            ingest: {
+                // No persisted report = the build was clean; its
+                // attempt count is the source file count.
+                let mut report = load_persisted_report(dir, opts.fs);
+                if report.attempted == 0 && report.errors.is_empty() {
+                    report.attempted = files.len();
+                }
+                report
+            },
+            manifest,
+        })
     }
 
     /// Enforce [`StoreOptions::strict`]: any quarantined file aborts the
@@ -895,8 +789,8 @@ impl CorpusStore {
 
     /// [`CorpusStore::build`] with full options.
     pub fn build_opts(dir: &Path, opts: &StoreOptions<'_>) -> io::Result<CorpusStore> {
-        let files = collect_corpus_files(dir)?;
-        let lock = acquire_lock(dir, opts);
+        let files = source_files(dir, opts.fs)?;
+        let Ok(lock) = acquire_lock(dir, opts, || None::<std::convert::Infallible>);
         let store = CorpusStore::build_from_files(dir, &files, opts, None);
         drop(lock);
         store
@@ -904,26 +798,15 @@ impl CorpusStore {
 
     fn build_from_files(
         dir: &Path,
-        files: &[CorpusFile],
+        files: &[SourceFile],
         opts: &StoreOptions<'_>,
         rebuild_reason: Option<String>,
     ) -> io::Result<CorpusStore> {
-        let (source_files, source_bytes) = fingerprint_of(files, opts.fs);
-        let (parsed, errors) = parse_files(files, opts.jobs, opts.fs, &opts.metrics);
-        let report = IngestReport {
-            attempted: files.len(),
-            errors,
-        };
-        let mut corpus = LoadedCorpus::default();
-        for p in parsed {
-            match p {
-                ParsedFile::Description(d) => corpus.descriptions.push(d),
-                ParsedFile::Trace(t) => corpus.traces.push(t),
-            }
-        }
-        let union = corpus.combined_dataset().union_graph();
+        let (source_files, source_bytes) = source_totals(files);
+        let (parsed, records) = parse_files(files, opts.jobs, opts.fs, &opts.metrics);
+        let union = parsed.corpus.combined_dataset().union_graph();
         let store = CorpusStore {
-            corpus,
+            corpus: parsed.corpus,
             union,
             provenance: SnapshotProvenance {
                 path: dir.join(SNAPSHOT_FILE),
@@ -934,7 +817,11 @@ impl CorpusStore {
                 source_bytes,
                 rebuild_reason,
             },
-            ingest: report,
+            ingest: parsed.report,
+            manifest: Manifest {
+                records,
+                stamp_ns: 0,
+            },
         }
         .check_strict(opts)?;
 
@@ -950,13 +837,13 @@ impl CorpusStore {
                 Err(e) => e.kind() == io::ErrorKind::NotFound,
             }
         } else {
-            write_atomic(
-                opts.fs,
-                &dir.join(INGEST_REPORT_TMP),
-                &report_path,
-                store.ingest.to_tsv().as_bytes(),
-            )
-            .is_ok()
+            opts.fs
+                .write_atomic(
+                    &dir.join(INGEST_REPORT_TMP),
+                    &report_path,
+                    store.ingest.to_tsv().as_bytes(),
+                )
+                .is_ok()
         };
         let mut store = store;
         if report_published {
@@ -965,7 +852,7 @@ impl CorpusStore {
                 &store.corpus,
                 source_files,
                 source_bytes,
-                &manifest_of(files, opts.fs),
+                &store.manifest.records,
             );
             opts.metrics
                 .histogram(
@@ -974,9 +861,15 @@ impl CorpusStore {
                     LATENCY_BUCKETS,
                 )
                 .observe_duration(encode_start.elapsed());
-            let tmp = dir.join(SNAPSHOT_TMP);
-            if write_atomic(opts.fs, &tmp, &store.provenance.path, &encoded).is_ok() {
+            let path = &store.provenance.path;
+            if opts
+                .fs
+                .write_atomic(&dir.join(SNAPSHOT_TMP), path, &encoded)
+                .is_ok()
+            {
                 store.provenance.snapshot_bytes = encoded.len() as u64;
+                // Date the manifest as a warm open will: by the snapshot.
+                store.manifest.stamp_ns = opts.fs.stat(path).map_or(0, |s| s.mtime_ns);
             }
         }
         Ok(store)
@@ -1174,11 +1067,8 @@ mod tests {
         CorpusStore::build(&dir, 2).unwrap();
 
         // Append a triple to one trace file: same file count, new bytes.
-        let files = collect_corpus_files(&dir).unwrap();
-        let trace = files
-            .iter()
-            .find(|f| f.kind == FileKind::TraceTurtle)
-            .unwrap();
+        let files = source_files(&dir, &REAL_FS).unwrap();
+        let trace = files.iter().find(|f| f.rel.ends_with(".prov.ttl")).unwrap();
         let mut content = fs::read_to_string(&trace.path).unwrap();
         content.push_str("<http://example.org/x> <http://example.org/p> \"new\" .\n");
         fs::write(&trace.path, content).unwrap();
@@ -1187,7 +1077,7 @@ mod tests {
         assert!(!store.provenance.warm);
         let reason = store.provenance.rebuild_reason.unwrap();
         assert!(reason.contains("source tree changed"), "got: {reason}");
-        // The v2 manifest names exactly the edited file.
+        // The manifest names exactly the edited file.
         assert!(
             reason.contains(&format!("changed {}", trace.rel)),
             "got: {reason}"
@@ -1215,11 +1105,8 @@ mod tests {
         assert!(reference.ingest.is_clean());
 
         // Break one Taverna trace mid-file.
-        let files = collect_corpus_files(&dir).unwrap();
-        let victim = files
-            .iter()
-            .find(|f| f.kind == FileKind::TraceTurtle)
-            .unwrap();
+        let files = source_files(&dir, &REAL_FS).unwrap();
+        let victim = files.iter().find(|f| f.rel.ends_with(".prov.ttl")).unwrap();
         fs::write(&victim.path, "@prefix e: <http://e/> .\nNOT TURTLE %%%\n").unwrap();
 
         // Default mode: the rest of the corpus still loads, the casualty

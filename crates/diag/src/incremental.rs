@@ -8,14 +8,15 @@
 //! * **the corpus fixpoint** — [`check_corpus`] over the summaries;
 //!   cheap (it never looks at a graph, only at summaries).
 //!
-//! This module caches the first half in `corpus.lint.snapshot` (format
-//! owned by `provbench_core::snapshot`), keyed per file by the FNV-1a-64
-//! of the file's bytes and globally by a hash of the rule catalog. On a
-//! warm run, unchanged files replay their cached diagnostics and
-//! summaries byte-for-byte; only changed files re-run rule bodies. The
-//! corpus fixpoint is *always* re-solved from the (cached or fresh)
-//! summaries, so its diagnostics are never persisted — which is what
-//! makes cold and warm output identical by construction.
+//! This module caches the first half in `corpus.lint.snapshot`, keyed
+//! per file by the source manifest of `provbench_core::manifest` and
+//! globally by a hash of the rule catalog. On a warm run, a file whose stat matches its record is
+//! not even read: it replays its cached diagnostics and summary
+//! byte-for-byte. A file whose stat moved is read and hashed, and only a
+//! changed hash re-runs rule bodies. The corpus fixpoint is *always*
+//! re-solved from the (cached or fresh) summaries, so its diagnostics
+//! are never persisted — which is what makes cold and warm output
+//! identical by construction.
 //!
 //! [`lint_corpus_incremental`] is the one lint driver: `provbench lint`
 //! in every mode and the `GET /lint` report of `provbench serve` run it.
@@ -24,20 +25,18 @@ use crate::diagnostic::{Diagnostic, RelatedLocation, RuleInfo, Severity};
 use crate::rules::corpus::check_corpus;
 use crate::rules::Registry;
 use crate::runner::{
-    check_graph, collect_rdf_files, corpus_label, parse_spanned, severity_counts, FileReport,
+    check_graph, corpus_label, parse_spanned, rdf_sources, severity_counts, FileReport,
 };
 use crate::summary::{AnalysisSummary, EventKind, SummaryEdge};
-use provbench_core::snapshot::{
-    decode_lint, encode_lint, DiagnosticRecord, EventEdgeRecord, LintCache, LintEntry,
-    RelatedRecord, SummaryRecord, LINT_SNAPSHOT_FILE,
-};
+use provbench_core::manifest::{self, Fresh, Manifest, SourceRecord};
+use provbench_core::snapshot::{self, LINT_MAGIC, LINT_SNAPSHOT_FILE, LINT_VERSION};
+use provbench_core::{StoreFs, REAL_FS};
+use provbench_rdf::codec::{write_bytes, write_string, write_varint, Reader};
 use provbench_rdf::{Iri, Span};
 use provbench_workflow::execution::fnv1a;
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// Histogram of per-file lint (read+parse+rules) times, observed for
@@ -123,124 +122,193 @@ fn severity_from_code(code: u8) -> Option<Severity> {
     }
 }
 
-fn span_to_wire(span: &Span) -> (u64, u64, u64, u64) {
-    (
-        span.line as u64,
-        span.column as u64,
-        span.end_line as u64,
-        span.end_column as u64,
-    )
-}
+// The cache file: sealed with `LINT_MAGIC` and `LINT_VERSION`, its
+// body is the catalog fingerprint, the manifest of the files it holds
+// (keyed by label), then one length-prefixed entry per record — summary
+// then diagnostics — so that a worker decodes only the entry it
+// replays.
 
-fn span_from_wire((line, column, end_line, end_column): (u64, u64, u64, u64)) -> Span {
-    Span {
-        line: line as usize,
-        column: column as usize,
-        end_line: end_line as usize,
-        end_column: end_column as usize,
+fn write_opt(out: &mut Vec<u8>, value: Option<&str>) {
+    match value {
+        Some(s) => {
+            out.push(1);
+            write_string(out, s);
+        }
+        None => out.push(0),
     }
 }
 
-fn diagnostic_to_record(d: &Diagnostic) -> DiagnosticRecord {
-    DiagnosticRecord {
-        rule_id: d.rule.id.to_owned(),
-        severity: severity_code(d.severity),
-        message: d.message.clone(),
-        file: d.file.clone(),
-        span: d.span.as_ref().map(span_to_wire),
-        node: d.node.as_ref().map(|n| n.as_str().to_owned()),
-        related: d
-            .related
-            .iter()
-            .map(|r| RelatedRecord {
-                message: r.message.clone(),
-                file: r.file.clone(),
-                span: r.span.as_ref().map(span_to_wire),
-            })
-            .collect(),
+fn write_span(out: &mut Vec<u8>, span: Option<&Span>) {
+    match span {
+        Some(s) => {
+            out.push(1);
+            for v in [s.line, s.column, s.end_line, s.end_column] {
+                write_varint(out, v as u64);
+            }
+        }
+        None => out.push(0),
     }
 }
 
-/// Rebuild a [`Diagnostic`] from its wire form, consuming the record
-/// (warm replay moves the cached strings instead of cloning them).
-/// `None` when the record names a rule the current catalog does not
-/// have or carries a bad severity code — the caller treats the whole
-/// entry as a cache miss.
-fn diagnostic_from_record(
-    record: DiagnosticRecord,
+/// Append one file's summary and diagnostics.
+fn write_entry(out: &mut Vec<u8>, a: &FileAnalysis) {
+    let s = &a.summary;
+    for set in [
+        &s.declared,
+        &s.used_targets,
+        &s.derived_targets,
+        &s.references,
+    ] {
+        write_varint(out, set.len() as u64);
+        set.iter().for_each(|iri| write_string(out, iri));
+    }
+    write_varint(out, s.derivations.len() as u64);
+    for (derived, source) in &s.derivations {
+        write_string(out, derived);
+        write_string(out, source);
+    }
+    write_varint(out, s.events.len() as u64);
+    for e in &s.events {
+        for (kind, iri) in [&e.from, &e.to] {
+            out.push(kind.code());
+            write_string(out, iri);
+        }
+        out.push(u8::from(e.strict) | (u8::from(e.derivation) << 1));
+    }
+    write_opt(out, s.time_min.as_deref());
+    write_opt(out, s.time_max.as_deref());
+    write_varint(out, a.diagnostics.len() as u64);
+    for d in &a.diagnostics {
+        write_string(out, d.rule.id);
+        out.push(severity_code(d.severity));
+        write_string(out, &d.message);
+        write_opt(out, d.file.as_deref());
+        write_span(out, d.span.as_ref());
+        write_opt(out, d.node.as_ref().map(Iri::as_str));
+        write_varint(out, d.related.len() as u64);
+        for r in &d.related {
+            write_string(out, &r.message);
+            write_opt(out, r.file.as_deref());
+            write_span(out, r.span.as_ref());
+        }
+    }
+}
+
+/// A small tag written with `push`.
+fn read_tag(r: &mut Reader<'_>) -> Option<u8> {
+    u8::try_from(r.read_varint().ok()?).ok()
+}
+
+fn read_opt(r: &mut Reader<'_>) -> Option<Option<String>> {
+    match read_tag(r)? {
+        0 => Some(None),
+        1 => r.read_string().ok().map(Some),
+        _ => None,
+    }
+}
+
+fn read_span(r: &mut Reader<'_>) -> Option<Option<Span>> {
+    let tag = read_tag(r)?;
+    let mut v = || Some(r.read_varint().ok()? as usize);
+    match tag {
+        0 => Some(None),
+        1 => Some(Some(Span {
+            line: v()?,
+            column: v()?,
+            end_line: v()?,
+            end_column: v()?,
+        })),
+        _ => None,
+    }
+}
+
+/// Replay one cached entry as the analysis of the file `record`
+/// describes. `None` when the entry is malformed or names a rule the
+/// catalog lacks — the file is then analyzed as if it had no entry.
+fn replay_entry(
+    bytes: &[u8],
+    record: SourceRecord,
     rules: &BTreeMap<&str, &'static RuleInfo>,
-) -> Option<Diagnostic> {
-    let rule = rules.get(record.rule_id.as_str())?;
-    let mut d = Diagnostic::new(rule, record.message);
-    d.severity = severity_from_code(record.severity)?;
-    d.file = record.file;
-    d.span = record.span.map(span_from_wire);
-    d.node = record.node.map(Iri::new_unchecked);
-    d.related = record
-        .related
-        .into_iter()
-        .map(|r| RelatedLocation {
-            message: r.message,
-            file: r.file,
-            span: r.span.map(span_from_wire),
-        })
-        .collect();
-    Some(d)
-}
-
-fn summary_to_record(s: &AnalysisSummary) -> SummaryRecord {
-    SummaryRecord {
-        declared: s.declared.iter().cloned().collect(),
-        used_targets: s.used_targets.iter().cloned().collect(),
-        derived_targets: s.derived_targets.iter().cloned().collect(),
-        references: s.references.iter().cloned().collect(),
-        derivations: s.derivations.clone(),
-        events: s
-            .events
-            .iter()
-            .map(|e| EventEdgeRecord {
-                from_kind: e.from.0.code(),
-                from: e.from.1.clone(),
-                to_kind: e.to.0.code(),
-                to: e.to.1.clone(),
-                strict: e.strict,
-                derivation: e.derivation,
-            })
-            .collect(),
-        time_min: s.time_min.clone(),
-        time_max: s.time_max.clone(),
+) -> Option<FileAnalysis> {
+    let r = &mut Reader::new(bytes);
+    let mut strings = || -> Option<std::collections::BTreeSet<String>> {
+        let n = r.read_varint().ok()?;
+        (0..n).map(|_| r.read_string().ok()).collect()
+    };
+    let mut summary = AnalysisSummary {
+        declared: strings()?,
+        used_targets: strings()?,
+        derived_targets: strings()?,
+        references: strings()?,
+        ..AnalysisSummary::default()
+    };
+    for _ in 0..r.read_varint().ok()? {
+        summary
+            .derivations
+            .push((r.read_string().ok()?, r.read_string().ok()?));
     }
-}
-
-/// Inverse of [`summary_to_record`], consuming the record; `None` on an
-/// unknown event kind code (the caller treats the entry as a cache
-/// miss).
-fn summary_from_record(record: SummaryRecord) -> Option<AnalysisSummary> {
-    let mut events = Vec::with_capacity(record.events.len());
-    for e in record.events {
-        events.push(SummaryEdge {
-            from: (EventKind::from_code(e.from_kind)?, e.from),
-            to: (EventKind::from_code(e.to_kind)?, e.to),
-            strict: e.strict,
-            derivation: e.derivation,
+    for _ in 0..r.read_varint().ok()? {
+        let mut end = || Some((EventKind::from_code(read_tag(r)?)?, r.read_string().ok()?));
+        let (from, to) = (end()?, end()?);
+        let flags = read_tag(r).filter(|f| *f <= 0b11)?;
+        summary.events.push(SummaryEdge {
+            from,
+            to,
+            strict: flags & 1 != 0,
+            derivation: flags & 2 != 0,
         });
     }
-    Some(AnalysisSummary {
-        declared: record.declared.into_iter().collect(),
-        used_targets: record.used_targets.into_iter().collect(),
-        derived_targets: record.derived_targets.into_iter().collect(),
-        references: record.references.into_iter().collect(),
-        derivations: record.derivations,
-        events,
-        time_min: record.time_min,
-        time_max: record.time_max,
+    summary.time_min = read_opt(r)?;
+    summary.time_max = read_opt(r)?;
+    let mut diagnostics = Vec::new();
+    for _ in 0..r.read_varint().ok()? {
+        let rule = rules.get(r.read_string().ok()?.as_str())?;
+        let severity = severity_from_code(read_tag(r)?)?;
+        let mut d = Diagnostic::new(rule, r.read_string().ok()?);
+        d.severity = severity;
+        d.file = read_opt(r)?;
+        d.span = read_span(r)?;
+        d.node = read_opt(r)?.map(Iri::new_unchecked);
+        for _ in 0..r.read_varint().ok()? {
+            d.related.push(RelatedLocation {
+                message: r.read_string().ok()?,
+                file: read_opt(r)?,
+                span: read_span(r)?,
+            });
+        }
+        diagnostics.push(d);
+    }
+    r.is_empty().then(|| FileAnalysis {
+        label: record.path.clone(),
+        record: Some(record),
+        summary,
+        diagnostics,
+        fresh: false,
     })
+}
+
+/// A cache of this catalog, split into its manifest and one entry per
+/// record; `None` for anything else.
+fn split_cache(bytes: &[u8], stamp_ns: u64, catalog: u64) -> Option<(Manifest, Vec<&[u8]>)> {
+    let r = &mut Reader::new(snapshot::unseal(bytes, LINT_MAGIC, LINT_VERSION).ok()?);
+    if r.read_varint().ok()? != catalog {
+        return None;
+    }
+    let records = snapshot::read_manifest(r).ok()?;
+    let entries = records
+        .iter()
+        .map(|_| r.read_bytes().ok())
+        .collect::<Option<Vec<_>>>()?;
+    r.is_empty()
+        .then_some((Manifest { records, stamp_ns }, entries))
 }
 
 /// The result of analyzing (or replaying) one file.
 struct FileAnalysis {
     label: String,
-    fingerprint: u64,
+    /// The file's source record; `None` when it could not be read, so
+    /// that it is read again next time.
+    record: Option<SourceRecord>,
     summary: AnalysisSummary,
     diagnostics: Vec<Diagnostic>,
     /// True when the rule bodies actually ran (a cache miss).
@@ -248,51 +316,46 @@ struct FileAnalysis {
 }
 
 /// Parse one document and run the per-file rules *and* the summary
-/// extraction in a single pass over the same graph.
-fn analyze_content(label: &str, content: &str, registry: &Registry) -> FileAnalysis {
-    let (summary, diagnostics) = match parse_spanned(label, content) {
-        Err(d) => (AnalysisSummary::default(), vec![*d]),
-        Ok((graph, spans)) => (
-            AnalysisSummary::of_graph(&graph),
-            check_graph(label, &graph, &spans, registry),
+/// extraction in a single pass over the same graph. A file whose text
+/// could not be had (`Err`) gets one `PB0001` finding; its `record` is
+/// `None` when the read itself failed, so that it is read again next
+/// time.
+fn analyze(
+    label: &str,
+    record: Option<SourceRecord>,
+    text: io::Result<String>,
+    registry: &Registry,
+) -> FileAnalysis {
+    let (summary, diagnostics) = match text {
+        Ok(content) => match parse_spanned(label, &content) {
+            Err(d) => (AnalysisSummary::default(), vec![*d]),
+            Ok((graph, spans)) => (
+                AnalysisSummary::of_graph(&graph),
+                check_graph(label, &graph, &spans, registry),
+            ),
+        },
+        Err(e) => (
+            AnalysisSummary::default(),
+            vec![
+                Diagnostic::new(&crate::rules::PARSE_ERROR, format!("cannot read file: {e}"))
+                    .with_file(label),
+            ],
         ),
     };
     FileAnalysis {
         label: label.to_owned(),
-        fingerprint: fnv1a(content.as_bytes()),
+        record,
         summary,
         diagnostics,
         fresh: true,
     }
 }
 
-/// Load the lint snapshot at `path`, if present, valid and produced by
-/// the same rule catalog. Any failure degrades to a cold run.
-fn load_cache(path: &Path, catalog: u64) -> BTreeMap<String, LintEntry> {
-    let Ok(bytes) = std::fs::read(path) else {
-        return BTreeMap::new();
-    };
-    match decode_lint(&bytes) {
-        Ok(cache) if cache.catalog == catalog => cache
-            .entries
-            .into_iter()
-            .map(|e| (e.path.clone(), e))
-            .collect(),
-        _ => BTreeMap::new(),
-    }
-}
-
-/// Atomically replace the lint snapshot: write a temp file next to it,
-/// then rename over the target so readers never see a torn file.
-fn save_cache(path: &Path, cache: &LintCache) -> io::Result<()> {
-    let tmp = path.with_extension("snapshot.tmp");
-    std::fs::write(&tmp, encode_lint(cache))?;
-    std::fs::rename(&tmp, path)
-}
-
-/// Lint every file [`collect_rdf_files`] finds under `root`, each under
-/// its [`corpus_label`], with optional corpus rules and optional
-/// snapshot-backed incrementality. This is the one lint driver.
+/// Lint every file [`collect_rdf_files`](crate::collect_rdf_files) finds
+/// under `root`, each under its [`corpus_label`], with optional corpus
+/// rules and optional snapshot-backed incrementality. This is the one
+/// lint driver; [`lint_corpus_incremental_fs`] runs it through a given
+/// filesystem.
 ///
 /// Guarantees:
 ///
@@ -300,14 +363,30 @@ fn save_cache(path: &Path, cache: &LintCache) -> io::Result<()> {
 ///   over the same tree (asserted by tests — cached diagnostics replay
 ///   byte-for-byte, corpus diagnostics are re-derived from summaries),
 /// * after editing one file, only that file's rule bodies re-run
-///   ([`CorpusLintOutcome::analyzed`] counts them).
+///   ([`CorpusLintOutcome::analyzed`] counts them), and a file whose
+///   stat says it is unchanged is not read.
 pub fn lint_corpus_incremental(
     root: &Path,
     registry: &Registry,
     opts: &CorpusLintOptions,
 ) -> io::Result<CorpusLintOutcome> {
+    lint_corpus_incremental_fs(root, registry, opts, &REAL_FS)
+}
+
+/// [`lint_corpus_incremental`] with every stat, read and cache write
+/// going through `fs`.
+pub fn lint_corpus_incremental_fs(
+    root: &Path,
+    registry: &Registry,
+    opts: &CorpusLintOptions,
+    fs: &dyn StoreFs,
+) -> io::Result<CorpusLintOutcome> {
     let _span = provbench_obs::span("lint.corpus");
-    let files = collect_rdf_files(root)?;
+    let mut files = rdf_sources(root, fs)?;
+    // The cache records each file under the label it is linted under.
+    for file in &mut files {
+        file.rel = corpus_label(root, &file.path);
+    }
     let cache_path = opts.cache_path.clone().unwrap_or_else(|| {
         if root.is_dir() {
             root.join(LINT_SNAPSHOT_FILE)
@@ -316,92 +395,66 @@ pub fn lint_corpus_incremental(
         }
     });
     let catalog = catalog_fingerprint(registry);
-    let cached_len;
-    let cached: Mutex<BTreeMap<String, LintEntry>> = {
-        let map = if opts.incremental {
-            load_cache(&cache_path, catalog)
-        } else {
-            BTreeMap::new()
-        };
-        cached_len = map.len();
-        Mutex::new(map)
-    };
+    // Any failure to read or decode the cache degrades to a cold run.
+    let read = opts
+        .incremental
+        .then(|| manifest::read_dated(fs, &cache_path));
+    let (manifest, entries) = match &read {
+        Some(Ok((bytes, stamp_ns))) => split_cache(bytes, *stamp_ns, catalog),
+        _ => None,
+    }
+    .unwrap_or_default();
+    let entries: BTreeMap<&str, &[u8]> = manifest
+        .records
+        .iter()
+        .map(|r| r.path.as_str())
+        .zip(entries)
+        .collect();
     let rule_map: BTreeMap<&str, &'static RuleInfo> = registry
         .rule_infos()
         .into_iter()
         .map(|info| (info.id, info))
         .collect();
 
-    // Per-file pass: replay a cache hit, analyze a miss. Parallel over
-    // worker threads; results re-ordered by input index afterwards. A
-    // hit *moves* its entry out of the cache — warm replay never clones
-    // the cached strings.
+    // Per-file pass: replay an unchanged file, analyze a changed one, on
+    // up to `jobs` workers, in file order. Each worker decodes only the
+    // cache entries it replays.
     let obs = provbench_obs::global();
     let file_seconds = obs.histogram(
         LINT_FILE_SECONDS,
         "Per-file lint (read+parse+rules) time",
         provbench_obs::LATENCY_BUCKETS,
     );
-    let labels: Vec<String> = files.iter().map(|p| corpus_label(root, p)).collect();
-    let process = |i: usize| -> FileAnalysis {
-        let (path, label) = (&files[i], &labels[i]);
+    let (analyses, _) = manifest.refresh(&files, fs, opts.jobs, |file, fresh| {
         let start = Instant::now();
-        let analysis = match std::fs::read_to_string(path) {
-            Ok(content) => {
-                let fingerprint = fnv1a(content.as_bytes());
-                let hit = cached
-                    .lock()
-                    .expect("no poisoned workers")
-                    .remove(label)
-                    .filter(|e| e.fingerprint == fingerprint);
-                if let Some(replayed) = hit.and_then(|e| replay_entry(e, &rule_map)) {
-                    return replayed;
-                }
-                analyze_content(label, &content, registry)
-            }
-            Err(e) => FileAnalysis {
-                label: label.clone(),
-                fingerprint: 0,
-                summary: AnalysisSummary::default(),
-                diagnostics: vec![Diagnostic::new(
-                    &crate::rules::PARSE_ERROR,
-                    format!("cannot read file: {e}"),
-                )
-                .with_file(label)],
-                fresh: true,
-            },
+        let unchanged = match &fresh {
+            Fresh::Clean(old) => Some((*old).clone()),
+            Fresh::Read {
+                record,
+                old: Some(old),
+                ..
+            } if old.hash == record.hash => Some(record.clone()),
+            _ => None,
         };
+        if let Some(record) = unchanged {
+            let entry = entries.get(record.path.as_str());
+            if let Some(replayed) = entry.and_then(|e| replay_entry(e, record, &rule_map)) {
+                return replayed;
+            }
+        }
+        let (record, text) = match fresh {
+            Fresh::Read { text, record, .. } => (Some(record), text),
+            // Unchanged, but its entry does not replay: read it after all.
+            Fresh::Clean(_) => match manifest::read_source(file, fs) {
+                Ok((record, text)) => (Some(record), text),
+                Err(e) => (None, Err(e)),
+            },
+            Fresh::Unreadable(e) => (None, Err(e)),
+        };
+        let analysis = analyze(&file.rel, record, text, registry);
         file_seconds.observe_duration(start.elapsed());
         analysis
-    };
-    let jobs = opts.jobs.max(1).min(files.len().max(1));
-    let analyses: Vec<FileAnalysis> = if jobs <= 1 {
-        // Single worker: run inline — spawning a scoped thread costs
-        // more than replaying a small warm corpus.
-        (0..files.len()).map(process).collect()
-    } else {
-        let next = AtomicUsize::new(0);
-        let results: Mutex<Vec<(usize, FileAnalysis)>> =
-            Mutex::new(Vec::with_capacity(files.len()));
-        std::thread::scope(|scope| {
-            for _ in 0..jobs {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= files.len() {
-                        break;
-                    }
-                    let analysis = process(i);
-                    results
-                        .lock()
-                        .expect("no poisoned workers")
-                        .push((i, analysis));
-                });
-            }
-        });
-        let mut indexed = results.into_inner().expect("workers joined");
-        indexed.sort_by_key(|(i, _)| *i);
-        indexed.into_iter().map(|(_, a)| a).collect()
-    };
+    });
 
     let analyzed = analyses.iter().filter(|a| a.fresh).count();
     let reused = analyses.len() - analyzed;
@@ -419,28 +472,25 @@ pub fn lint_corpus_incremental(
     // Persist the per-file half before corpus diagnostics are merged in
     // — corpus findings depend on the whole tree and are re-solved from
     // summaries every run, so caching them would be both redundant and a
-    // staleness hazard.
+    // staleness hazard. Rewrite the cache when any file was analyzed or
+    // any record moved (a file added, removed or touched).
     let mut cache_written = false;
     if opts.incremental {
-        // Hits were moved out of `cached`, so leftovers are exactly the
-        // entries whose files vanished; together with the count check
-        // this detects any change to the path set.
-        let leftovers = !cached.lock().expect("no poisoned workers").is_empty();
-        let stale_paths = cached_len != analyses.len() || leftovers;
-        if analyzed > 0 || stale_paths {
-            let cache = LintCache {
-                catalog,
-                entries: analyses
-                    .iter()
-                    .map(|a| LintEntry {
-                        path: a.label.clone(),
-                        fingerprint: a.fingerprint,
-                        summary: summary_to_record(&a.summary),
-                        diagnostics: a.diagnostics.iter().map(diagnostic_to_record).collect(),
-                    })
-                    .collect(),
-            };
-            save_cache(&cache_path, &cache)?;
+        let recorded: Vec<&FileAnalysis> = analyses.iter().filter(|a| a.record.is_some()).collect();
+        let records: Vec<SourceRecord> = recorded.iter().filter_map(|a| a.record.clone()).collect();
+        if analyzed > 0 || records != manifest.records {
+            let cache = snapshot::seal(LINT_MAGIC, LINT_VERSION, |body| {
+                write_varint(body, catalog);
+                snapshot::write_manifest(body, &records);
+                let mut entry = Vec::new();
+                for a in recorded {
+                    entry.clear();
+                    write_entry(&mut entry, a);
+                    write_bytes(body, &entry);
+                }
+            });
+            let tmp = cache_path.with_extension("snapshot.tmp");
+            fs.write_atomic(&tmp, &cache_path, &cache)?;
             cache_written = true;
         }
     }
@@ -499,27 +549,6 @@ fn apply_corpus_rules(reports: &mut Vec<FileReport>, entries: &[(String, Analysi
     for report in reports.iter_mut() {
         report.diagnostics.sort_by_key(Diagnostic::sort_key);
     }
-}
-
-/// Turn a cache entry back into a [`FileAnalysis`]. `None` when any
-/// record fails to convert (unknown rule id, bad code) — the file is
-/// then re-analyzed as if the entry were absent.
-fn replay_entry(
-    entry: LintEntry,
-    rules: &BTreeMap<&str, &'static RuleInfo>,
-) -> Option<FileAnalysis> {
-    let summary = summary_from_record(entry.summary)?;
-    let mut diagnostics = Vec::with_capacity(entry.diagnostics.len());
-    for record in entry.diagnostics {
-        diagnostics.push(diagnostic_from_record(record, rules)?);
-    }
-    Some(FileAnalysis {
-        label: entry.path,
-        fingerprint: entry.fingerprint,
-        summary,
-        diagnostics,
-        fresh: false,
-    })
 }
 
 #[cfg(test)]
@@ -642,6 +671,39 @@ mod tests {
         assert_eq!(
             crate::render::render_jsonl(&cold.reports),
             crate::render::render_jsonl(&rerun.reports)
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_entry_that_does_not_replay_is_re_analyzed() {
+        let dir = tempdir("entry");
+        write(&dir, "a.ttl", GOOD);
+        write(&dir, "b.ttl", &GOOD.replace("example.org", "example.net"));
+        let registry = Registry::with_corpus_rules();
+        let opts = CorpusLintOptions {
+            jobs: 1,
+            corpus_rules: true,
+            incremental: true,
+            cache_path: None,
+        };
+        let cold = lint_corpus_incremental(&dir, &registry, &opts).expect("cold run");
+        // Reseal the cache with a first entry that ends too soon.
+        let bytes = std::fs::read(&cold.cache_path).expect("read cache");
+        let catalog = catalog_fingerprint(&registry);
+        let (manifest, entries) = split_cache(&bytes, 0, catalog).expect("a valid cache");
+        let resealed = snapshot::seal(LINT_MAGIC, LINT_VERSION, |body| {
+            write_varint(body, catalog);
+            snapshot::write_manifest(body, &manifest.records);
+            write_bytes(body, &[5]);
+            entries[1..].iter().for_each(|e| write_bytes(body, e));
+        });
+        std::fs::write(&cold.cache_path, resealed).expect("reseal cache");
+        let warm = lint_corpus_incremental(&dir, &registry, &opts).expect("warm run");
+        assert_eq!(warm.analyzed, 1, "only the entry that does not replay");
+        assert_eq!(
+            crate::render::render_jsonl(&cold.reports),
+            crate::render::render_jsonl(&warm.reports)
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -40,7 +40,8 @@ pub use baseline::{apply_baseline, format_baseline, parse_baseline};
 pub use catalog::{all_rule_docs, rule_doc, RuleDoc};
 pub use diagnostic::{Diagnostic, RelatedLocation, RuleInfo, Severity};
 pub use incremental::{
-    catalog_fingerprint, lint_corpus_incremental, CorpusLintOptions, CorpusLintOutcome,
+    catalog_fingerprint, lint_corpus_incremental, lint_corpus_incremental_fs, CorpusLintOptions,
+    CorpusLintOutcome,
 };
 pub use render::{render_jsonl, render_lint_json, render_sarif, render_text};
 pub use rules::{corpus::check_corpus, FileContext, Registry, Rule};

@@ -4,6 +4,8 @@
 
 use crate::diagnostic::{Diagnostic, Severity};
 use crate::rules::{FileContext, Registry, PARSE_ERROR};
+use provbench_core::manifest::{self, SourceFile};
+use provbench_core::{StoreFs, REAL_FS};
 use provbench_rdf::{parse_trig_spanned, parse_turtle_spanned, Graph, Span, SpanTable};
 use provbench_vocab::{opmw, wfdesc, wfprov};
 use provbench_workflow::System;
@@ -34,31 +36,23 @@ pub fn is_rdf_file(path: &Path) -> bool {
     )
 }
 
-/// Recursively collect every `.ttl`/`.trig`/`.nt` file under `root`
-/// (or `root` itself when it is a file), sorted by path.
+/// Every `.ttl`/`.trig`/`.nt` file under `root` (or `root` itself when
+/// it is a file), stat'd through `fs`, in path order: the core walk,
+/// kept to the files the linter reads. Symlinks are not followed, so a
+/// dangling one is linted as a file that cannot be read.
+pub(crate) fn rdf_sources(root: &Path, fs: &dyn StoreFs) -> io::Result<Vec<SourceFile>> {
+    manifest::walk(root, fs, false, &|rel| {
+        rel.ends_with('/') || is_rdf_file(Path::new(rel))
+    })
+}
+
+/// Every `.ttl`/`.trig`/`.nt` file under `root` (or `root` itself when
+/// it is a file), sorted by path: the files the linter reads.
 pub fn collect_rdf_files(root: &Path) -> io::Result<Vec<PathBuf>> {
-    let mut files = Vec::new();
-    if root.is_file() {
-        files.push(root.to_path_buf());
-        return Ok(files);
-    }
-    let mut stack = vec![root.to_path_buf()];
-    while let Some(dir) = stack.pop() {
-        for entry in std::fs::read_dir(&dir)? {
-            let entry = entry?;
-            // file_type() comes straight from the directory entry on
-            // every platform we care about — no extra stat per file.
-            let file_type = entry.file_type()?;
-            let path = entry.path();
-            if file_type.is_dir() {
-                stack.push(path);
-            } else if is_rdf_file(&path) {
-                files.push(path);
-            }
-        }
-    }
-    files.sort();
-    Ok(files)
+    Ok(rdf_sources(root, &REAL_FS)?
+        .into_iter()
+        .map(|f| f.path)
+        .collect())
 }
 
 /// Guess which system profile applies from the vocabulary a graph

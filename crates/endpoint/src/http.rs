@@ -151,7 +151,7 @@ fn read_bounded_line(reader: &mut impl BufRead, max: usize, what: &str) -> io::R
 /// Read and parse one request from a stream.
 ///
 /// Malformed input — a missing or non-numeric `Content-Length`, a length
-/// beyond [`MAX_BODY`], too many or too long headers, or a body shorter
+/// beyond `MAX_BODY` (4 MiB), too many or too long headers, or a body shorter
 /// than declared — yields an `InvalidData` error the server answers with
 /// `400 Bad Request`. The parser never allocates more than the declared
 /// (validated) body size.

@@ -5,9 +5,10 @@
 //! (`Read + Write` plus socket timeouts). `TcpStream` is the production
 //! implementation; [`BufConn`] drives the same code path from an
 //! in-memory request in tests; and, behind the `fault-inject` feature,
-//! [`FaultConn`] wraps any `Conn` and injects short reads, short
+//! `FaultConn` wraps any `Conn` and injects short reads, short
 //! writes, mid-response resets and stalls at deterministic points —
-//! the network-side sibling of `provbench_core`'s `FaultFs`.
+//! the network-side sibling of `provbench_core`'s `FaultFs`, on the
+//! same `FaultPlan` schedule.
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -132,9 +133,8 @@ pub use fault::{FaultConn, NetFaultKind};
 #[cfg(feature = "fault-inject")]
 mod fault {
     use super::Conn;
+    use provbench_core::FaultPlan;
     use std::io::{self, Read, Write};
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
     use std::time::Duration;
 
     /// What a scheduled network fault does when it fires.
@@ -153,16 +153,6 @@ mod fault {
         Stall,
     }
 
-    /// When faults fire (mirrors `FaultFs`'s plans).
-    #[derive(Debug)]
-    enum FaultPlan {
-        /// Exactly the `op`-th connection operation (0-based) faults.
-        Nth { kind: NetFaultKind, op: usize },
-        /// xorshift64*-scheduled faults: roughly one in `rate`
-        /// operations faults, with the kind drawn from the same stream.
-        Seeded { state: Mutex<u64>, rate: u64 },
-    }
-
     /// A [`Conn`] wrapper injecting deterministic network faults.
     ///
     /// Every trait operation — `set_read_timeout`, `set_write_timeout`,
@@ -172,9 +162,7 @@ mod fault {
     #[derive(Debug)]
     pub struct FaultConn<C> {
         inner: C,
-        plan: FaultPlan,
-        ops: AtomicUsize,
-        injected: AtomicUsize,
+        plan: FaultPlan<NetFaultKind>,
     }
 
     impl<C: Conn> FaultConn<C> {
@@ -182,9 +170,7 @@ mod fault {
         pub fn fail_nth(inner: C, kind: NetFaultKind, op: usize) -> Self {
             FaultConn {
                 inner,
-                plan: FaultPlan::Nth { kind, op },
-                ops: AtomicUsize::new(0),
-                injected: AtomicUsize::new(0),
+                plan: FaultPlan::nth(kind, op),
             }
         }
 
@@ -194,23 +180,18 @@ mod fault {
         pub fn seeded(inner: C, seed: u64, rate: u64) -> Self {
             FaultConn {
                 inner,
-                plan: FaultPlan::Seeded {
-                    state: Mutex::new(seed.wrapping_mul(0x9E3779B97F4A7C15) | 1),
-                    rate: rate.max(1),
-                },
-                ops: AtomicUsize::new(0),
-                injected: AtomicUsize::new(0),
+                plan: FaultPlan::seeded(seed, rate),
             }
         }
 
         /// Connection operations attempted so far.
         pub fn ops(&self) -> usize {
-            self.ops.load(Ordering::SeqCst)
+            self.plan.ops()
         }
 
         /// Faults actually injected so far.
         pub fn injected(&self) -> usize {
-            self.injected.load(Ordering::SeqCst)
+            self.plan.injected()
         }
 
         /// The wrapped connection (e.g. to inspect a `BufConn`'s
@@ -221,26 +202,12 @@ mod fault {
 
         /// Decide whether the current op faults, and with what kind.
         fn fault(&self) -> Option<NetFaultKind> {
-            let op = self.ops.fetch_add(1, Ordering::SeqCst);
-            let kind = match &self.plan {
-                FaultPlan::Nth { kind, op: target } => (op == *target).then_some(*kind),
-                FaultPlan::Seeded { state, rate } => {
-                    let draw = provbench_core::xorshift64_star(
-                        &mut state.lock().unwrap_or_else(|e| e.into_inner()),
-                    );
-                    draw.is_multiple_of(*rate)
-                        .then_some(match (draw >> 33) % 4 {
-                            0 => NetFaultKind::ShortRead,
-                            1 => NetFaultKind::ShortWrite,
-                            2 => NetFaultKind::Reset,
-                            _ => NetFaultKind::Stall,
-                        })
-                }
-            };
-            if kind.is_some() {
-                self.injected.fetch_add(1, Ordering::SeqCst);
-            }
-            kind
+            self.plan.next(|draw| match (draw >> 33) % 4 {
+                0 => NetFaultKind::ShortRead,
+                1 => NetFaultKind::ShortWrite,
+                2 => NetFaultKind::Reset,
+                _ => NetFaultKind::Stall,
+            })
         }
     }
 

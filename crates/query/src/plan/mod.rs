@@ -1,7 +1,7 @@
 //! Physical query plans: lowering, streaming execution, explain.
 //!
 //! This is the query evaluator. The resolved pattern tree is lowered
-//! into a pipeline of pull-based operators ([`ops`]) rooted in a
+//! into a pipeline of pull-based operators (module `ops`) rooted in a
 //! [`Rows`] iterator — the streaming half of the engine API
 //! ([`PreparedQuery::rows`] returns one; `select()` is a collect over
 //! it). Every BGP's joins run in the planner-chosen order. OPTIONAL

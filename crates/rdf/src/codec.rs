@@ -37,8 +37,13 @@ pub fn write_varint(out: &mut Vec<u8>, mut v: u64) {
 
 /// Append a length-prefixed UTF-8 string.
 pub fn write_string(out: &mut Vec<u8>, s: &str) {
-    write_varint(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
+    write_bytes(out, s.as_bytes());
+}
+
+/// Append a length-prefixed byte string.
+pub fn write_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
+    write_varint(out, bytes.len() as u64);
+    out.extend_from_slice(bytes);
 }
 
 /// A validating cursor over an encoded byte slice.
@@ -94,10 +99,10 @@ impl<'a> Reader<'a> {
         u32::try_from(self.read_varint()?).map_err(|_| corrupt("value exceeds u32"))
     }
 
-    /// Read a length-prefixed UTF-8 string. The length is bounded by the
-    /// remaining input, so a corrupt prefix cannot trigger a huge
-    /// allocation.
-    pub fn read_string(&mut self) -> Result<String, RdfError> {
+    /// Read a length-prefixed byte string, borrowed from the input. The
+    /// length is bounded by the remaining input, so a corrupt prefix
+    /// cannot trigger a huge allocation.
+    pub fn read_bytes(&mut self) -> Result<&'a [u8], RdfError> {
         let len = self.read_varint()? as usize;
         if len > self.remaining() {
             return Err(corrupt(format!(
@@ -107,6 +112,12 @@ impl<'a> Reader<'a> {
         }
         let bytes = &self.buf[self.pos..self.pos + len];
         self.pos += len;
+        Ok(bytes)
+    }
+
+    /// Read a length-prefixed UTF-8 string.
+    pub fn read_string(&mut self) -> Result<String, RdfError> {
+        let bytes = self.read_bytes()?;
         String::from_utf8(bytes.to_vec()).map_err(|_| corrupt("string is not valid UTF-8"))
     }
 }

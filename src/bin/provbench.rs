@@ -22,7 +22,9 @@
 use provbench::analysis::coverage::term_usage;
 use provbench::analysis::{coverage_of_corpus, dependency_edges};
 use provbench::corpus::stats::{CorpusStats, Table1};
-use provbench::corpus::{research_object_for, store, Corpus, CorpusSpec};
+use provbench::corpus::{
+    research_object_for, store, Corpus, CorpusSpec, Manifest, SourceRecord, REAL_FS,
+};
 use provbench::endpoint::{url_encode, Client, Endpoint, ServerConfig, ShutdownSignal};
 use provbench::prov::from_rdf::graph_to_document;
 use provbench::prov::{validate, write_provn};
@@ -395,8 +397,9 @@ fn cmd_serve(o: &Options) -> Result<(), String> {
 
     // Degraded-mode serving: bind and answer /healthz immediately, load
     // the corpus in the background (readiness flips when it lands), and
-    // keep watching the source directory — a fingerprint change triggers
-    // a rebuild while requests keep being served from the old graph.
+    // keep watching the source directory — a change to any source, as
+    // the store's manifest decides it, triggers a reload while requests
+    // keep being served from the old graph.
     let endpoint = Endpoint::unready(serve_config(o));
     let loader = endpoint.clone();
     let opts_jobs = o.jobs.unwrap_or_else(store::default_load_jobs);
@@ -405,10 +408,21 @@ fn cmd_serve(o: &Options) -> Result<(), String> {
     std::thread::spawn(move || {
         use provbench::diag;
 
-        let mut served: Option<(u64, u64)> = None;
+        // The sources the served graph came from, and those of them
+        // that could not be read.
+        let mut served: Option<(Manifest, Vec<String>)> = None;
         loop {
-            let fingerprint = store::source_fingerprint(&dir_path).ok();
-            if fingerprint.is_some() && fingerprint != served {
+            // One stat per source; a read only for a file whose stat
+            // moved (or that is racy, see `corpus::manifest`), or that
+            // could not be read at the load.
+            let files = store::source_files(&dir_path, &REAL_FS).ok();
+            let stale = match (&files, &mut served) {
+                (Some(files), Some((manifest, unreadable))) => {
+                    store::check_sources(&dir_path, &REAL_FS, manifest, files, unreadable).is_err()
+                }
+                (files, _) => files.is_some(),
+            };
+            if stale {
                 loader.set_rebuilding(true);
                 // Lint the sources (with the corpus-wide rules) through
                 // the lint cache beside them. Before the open, so only
@@ -430,8 +444,13 @@ fn cmd_serve(o: &Options) -> Result<(), String> {
                 };
                 match store::CorpusStore::open_or_build_opts(&dir_path, &opts) {
                     Ok(s) => {
-                        // Only the union graph is served.
+                        // Only the union graph is served. A file that
+                        // could not be read stays quarantined, and is
+                        // retried at each poll, until it can be read.
                         drop(s.corpus);
+                        let unreadable = s.ingest.errors.iter().filter(|e| e.io);
+                        let unreadable = unreadable.map(|e| e.path.clone()).collect();
+                        served = Some((s.manifest, unreadable));
                         let summary = provenance_summary(&s.provenance);
                         let quarantined = s.ingest.errors.len();
                         if quarantined > 0 {
@@ -460,11 +479,21 @@ fn cmd_serve(o: &Options) -> Result<(), String> {
                     Err(e) => {
                         loader.set_rebuilding(false);
                         eprintln!("corpus load failed: {e}");
+                        // Pin the stats the sources had: retry when one
+                        // moves, not in a tight loop. A zero hash never
+                        // matches, so a moved file reads as changed.
+                        let records = files.iter().flatten().map(|f| SourceRecord {
+                            path: f.rel.clone(),
+                            stat: f.stat.unwrap_or_default(),
+                            hash: 0,
+                        });
+                        let pinned = Manifest {
+                            records: records.collect(),
+                            stamp_ns: u64::MAX,
+                        };
+                        served = Some((pinned, Vec::new()));
                     }
                 }
-                // Even a failed load pins the fingerprint: retry only
-                // when the sources change again, not in a tight loop.
-                served = fingerprint;
             }
             std::thread::sleep(std::time::Duration::from_secs(2));
         }

@@ -19,11 +19,15 @@
 //! 2. a follow-up open on the *real* filesystem recovers: it serves the
 //!    correct corpus, or degrades explicitly through a persisted
 //!    quarantine report — never a silently partial corpus.
+//!
+//! A second sweep does the same to the incremental lint: a cold lint,
+//! an edit, then the edit's lint, one fault per replay.
 
 use provbench::corpus::fsio::{FaultFs, FaultKind};
 use provbench::corpus::snapshot::SNAPSHOT_FILE;
 use provbench::corpus::store::{self, CorpusStore, StoreOptions, SNAPSHOT_LOCK, SNAPSHOT_TMP};
 use provbench::corpus::{Corpus, CorpusSpec, INGEST_REPORT_FILE};
+use provbench::diag::{self, CorpusLintOptions, FileReport, Registry};
 use provbench::rdf::Graph;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -213,5 +217,115 @@ fn strict_mode_surfaces_injected_read_faults() {
         failures > 0,
         "no read fault ever hit a source file in {total_ops} ops"
     );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Each report rendered on its own, in order.
+fn rendered(reports: &[FileReport]) -> Vec<String> {
+    reports
+        .iter()
+        .map(|r| diag::render_jsonl(std::slice::from_ref(r)))
+        .collect()
+}
+
+/// A faulted lint must return an error or the clean reports, except
+/// that the one file whose read was faulted may report `cannot read
+/// file` (PB0001) instead of its own findings.
+fn check_lint(context: &str, outcome: std::io::Result<diag::CorpusLintOutcome>, clean: &[String]) {
+    let Ok(outcome) = outcome else { return };
+    let got = rendered(&outcome.reports);
+    assert_eq!(got.len(), clean.len(), "{context}: report count");
+    let unreadable = |r: &FileReport| match &r.diagnostics[..] {
+        [d] => d.rule.id == "PB0001" && d.message.starts_with("cannot read file"),
+        _ => false,
+    };
+    let mut faulted = 0;
+    for ((g, c), report) in got.iter().zip(clean).zip(&outcome.reports) {
+        if g != c {
+            assert!(unreadable(report), "{context}: {g} instead of {c}");
+            faulted += 1;
+        }
+    }
+    assert!(
+        faulted <= 1,
+        "{context}: {faulted} files report a read fault"
+    );
+}
+
+/// The incremental lint under every single fault: a cold lint of a
+/// corpus, an edit to one trace, and the edit's lint, both through the
+/// shim. Corpus rules are off: a file that cannot be read contributes
+/// no summary, so cross-file findings move with it.
+#[test]
+fn every_lint_fault_point_errors_or_reports_cleanly() {
+    let corpus = Corpus::generate(&CorpusSpec {
+        max_workflows: Some(3),
+        total_runs: 4,
+        failed_runs: 1,
+        ..CorpusSpec::default()
+    });
+    let dir = tmpdir("lint");
+    store::save(&corpus, &dir).unwrap();
+    let registry = Registry::with_default_rules();
+    let opts = CorpusLintOptions {
+        jobs: 1,
+        corpus_rules: false,
+        incremental: true,
+        cache_path: None,
+    };
+    let cache = dir.join(provbench::corpus::snapshot::LINT_SNAPSHOT_FILE);
+    let tmp = cache.with_extension("snapshot.tmp");
+    let target = diag::collect_rdf_files(&dir)
+        .unwrap()
+        .into_iter()
+        .find(|p| p.to_string_lossy().ends_with(".prov.ttl"))
+        .unwrap();
+    let original = std::fs::read_to_string(&target).unwrap();
+    let edited = format!("{original}# edited\n");
+    let lint = |fs: &dyn provbench::corpus::StoreFs| {
+        diag::lint_corpus_incremental_fs(&dir, &registry, &opts, fs)
+    };
+    let clean_of = |content: &str| {
+        std::fs::write(&target, content).unwrap();
+        let _ = std::fs::remove_file(&cache);
+        rendered(
+            &diag::lint_corpus_incremental(&dir, &registry, &opts)
+                .unwrap()
+                .reports,
+        )
+    };
+    let (clean_cold, clean_edit) = (clean_of(&original), clean_of(&edited));
+
+    // Dry run: the operations of one clean cold-then-edit sequence.
+    let sequence = |fs: &FaultFs, context: &str| {
+        std::fs::write(&target, &original).unwrap();
+        let _ = std::fs::remove_file(&cache);
+        check_lint(&format!("{context} (cold)"), lint(fs), &clean_cold);
+        std::fs::write(&target, &edited).unwrap();
+        check_lint(&format!("{context} (edit)"), lint(fs), &clean_edit);
+    };
+    let probe = FaultFs::fail_nth(FaultKind::Interrupted, usize::MAX);
+    sequence(&probe, "dry run");
+    let total_ops = probe.ops();
+    assert!(total_ops >= 20, "suspiciously few fs ops: {total_ops}");
+
+    for kind in KINDS {
+        for op in 0..total_ops {
+            let context = format!("{kind:?} at op {op}/{total_ops}");
+            let fs = FaultFs::fail_nth(kind, op);
+            sequence(&fs, &context);
+            assert_eq!(fs.injected(), 1, "{context}: fault not reached");
+            // Recovery: the next lint on the real filesystem prints the
+            // clean bytes and leaves no temp file behind.
+            let recovered = diag::lint_corpus_incremental(&dir, &registry, &opts)
+                .unwrap_or_else(|e| panic!("{context}: recovery lint failed: {e}"));
+            assert_eq!(
+                rendered(&recovered.reports),
+                clean_edit,
+                "{context}: recovery"
+            );
+            assert!(!tmp.exists(), "{context}: {} left behind", tmp.display());
+        }
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
