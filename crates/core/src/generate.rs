@@ -181,9 +181,12 @@ impl Corpus {
         ds
     }
 
-    /// One graph with every triple of the corpus (descriptions + traces).
+    /// One graph with every triple of the corpus (descriptions + traces),
+    /// numbered by the canonical term table a store opened from the
+    /// saved corpus serves (see [`crate::store::CorpusStore::union`]).
     pub fn combined_graph(&self) -> Graph {
-        self.combined_dataset().union_graph()
+        let datasets = self.traces.iter().map(|t| &t.dataset);
+        crate::snapshot::served_graph(&self.descriptions, datasets).0
     }
 
     /// A merged graph of all traces of one system only (no descriptions)

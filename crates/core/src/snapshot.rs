@@ -10,21 +10,24 @@
 //! body     source file count, source byte count        (varints)
 //!          source manifest: rel path, size, mtime,
 //!                  ctime, fnv1a-64 of the bytes        (per source file)
-//!          global term table                           (tagged terms)
+//!          global term table, sorted                   (tagged terms)
 //!          descriptions: system, template, slab        (per workflow)
 //!          traces: run id, system, template,
 //!                  default slab, named-graph slabs     (per run)
 //!          union predicate stats: (pred gid, count)    (planner input)
 //! ```
 //!
-//! Slabs hold id-triples over the *global* term table, sorted and
-//! delta-compressed (see [`provbench_rdf::codec`]). On load each graph
-//! compacts the global ids it uses into a dense local table — an `Arc`
-//! clone per term, no string parsing. Every decode path validates:
-//! a bad magic, unknown version, checksum mismatch, malformed term,
-//! out-of-range id or stats disagreement yields [`SnapshotError`] and the
-//! caller falls back to a clean rebuild from the RDF sources — never a
-//! panic, never silently wrong data.
+//! The global term table is the served graph's own, in canonical order:
+//! `Term`'s, IRIs then blank nodes then literals, each by its string.
+//! Slabs hold id-triples over it, sorted and delta-compressed (see
+//! [`provbench_rdf::codec`]). On load the union keeps the table's ids,
+//! and each per-run graph compacts the ids it uses into a dense local
+//! table — an `Arc` clone per term, no string parsing. Every decode
+//! path validates: a bad magic, unknown version, checksum mismatch,
+//! malformed term, table out of canonical order, out-of-range id or
+//! stats disagreement yields [`SnapshotError`] and the caller falls back
+//! to a clean rebuild from the RDF sources — never a panic, never
+//! silently wrong data.
 
 use crate::fsio::FileStat;
 use crate::manifest::SourceRecord;
@@ -35,7 +38,6 @@ use provbench_rdf::codec::{
 use provbench_rdf::{Dataset, Graph, GraphName, Term, TermId};
 use provbench_workflow::execution::fnv1a;
 use provbench_workflow::System;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
 /// Snapshot file name, stored at the corpus directory root.
@@ -51,8 +53,9 @@ pub const MAGIC: [u8; 6] = *b"PBSNAP";
 /// `(relative path, byte size)` manifest so a stale-snapshot rebuild can
 /// name exactly which files changed; v3 records each file's mtime,
 /// ctime and content hash too (see [`crate::manifest`]), so a same-size
-/// edit is caught.
-pub const VERSION: u16 = 3;
+/// edit is caught; v4 sorts the term table into canonical order, the
+/// served graph's numbering, which [`decode`] checks.
+pub const VERSION: u16 = 4;
 
 /// Fixed header length: magic + version + checksum.
 pub const HEADER_LEN: usize = 6 + 2 + 8;
@@ -100,9 +103,10 @@ fn corrupt(msg: impl Into<String>) -> SnapshotError {
 pub struct DecodedSnapshot {
     /// The corpus exactly as [`crate::store::load`] would return it.
     pub corpus: LoadedCorpus,
-    /// Union of every graph (same as
-    /// `corpus.combined_dataset().union_graph()`), rebuilt from the slabs
-    /// and cross-checked against the persisted predicate statistics.
+    /// The served graph: the union of every graph, rebuilt from the
+    /// slabs over the canonical term table, so its ids are those a cold
+    /// open and [`crate::Corpus::combined_graph`] give; cross-checked
+    /// against the persisted predicate statistics.
     pub union: Graph,
     /// The record of every source file read at build time, in walk
     /// order: what a warm open checks the directory against.
@@ -124,47 +128,100 @@ fn system_from_tag(tag: u8) -> Result<System, SnapshotError> {
     }
 }
 
-/// Interner over the whole corpus: every graph's slab shares one table.
-#[derive(Default)]
-struct GlobalTable {
-    ids: HashMap<Term, u32>,
-    terms: Vec<Term>,
-}
-
-impl GlobalTable {
-    fn intern(&mut self, term: &Term) -> u32 {
-        if let Some(&id) = self.ids.get(term) {
-            return id;
-        }
-        let id = u32::try_from(self.terms.len()).expect("term table overflow");
-        self.ids.insert(term.clone(), id);
-        self.terms.push(term.clone());
-        id
-    }
-}
-
-/// One graph as sorted global-id triples.
+/// One graph as sorted id-triples over a snapshot's term table.
 type Slab = Vec<(u32, u32, u32)>;
 
-/// Remap one graph's local ids to global ids and return its sorted slab.
-fn global_slab(graph: &Graph, table: &mut GlobalTable) -> Slab {
-    let gids: Vec<u32> = graph
-        .interned_terms()
+/// A corpus's graphs in walk order — each description, then per trace
+/// its default graph and each named graph — as slabs over the served
+/// graph's term table; a named graph's slab comes with its name's id.
+pub(crate) type Slabs = Vec<(Option<u32>, Slab)>;
+
+/// The served graph of a corpus: the union of its `descriptions` and
+/// `traces`, numbered by one canonical term table. The table holds each
+/// term that occurs in a triple, and each graph name, once, in `Term`'s
+/// own order: IRIs, then blank nodes, then literals, each by its
+/// string. Cold opens, warm opens ([`decode`]) and
+/// [`crate::Corpus::combined_graph`] all number the served graph so,
+/// and an unordered query returns the same rows from each. Also returns
+/// every graph as a slab over that table, for the snapshot.
+pub(crate) fn served_graph<'a>(
+    descriptions: impl IntoIterator<Item = &'a Graph>,
+    traces: impl IntoIterator<Item = &'a Dataset>,
+) -> (Graph, Slabs) {
+    let graphs: Vec<(Option<Term>, &Graph)> = descriptions
+        .into_iter()
+        .map(|g| (None, g))
+        .chain(traces.into_iter().flat_map(|d| {
+            let named = d.named_graphs();
+            std::iter::once((None, d.default_graph()))
+                .chain(named.map(|(name, g)| (Some(Term::from(name.clone())), g)))
+        }))
+        .collect();
+    // Each graph's triples in its own ids, then one entry per term that
+    // occurs in them or names the graph: one sort numbers every term.
+    let mut slabs: Vec<Slab> = Vec::with_capacity(graphs.len());
+    let mut entries: Vec<(&Term, usize, Option<usize>)> = Vec::new();
+    for (gi, (name, graph)) in graphs.iter().enumerate() {
+        let ids = graph.ids_matching(None, None, None);
+        let slab: Slab = ids
+            .map(|(s, p, o)| (s.to_u32(), p.to_u32(), o.to_u32()))
+            .collect();
+        let mut used = vec![false; graph.term_count()];
+        for id in slab.iter().flat_map(|&(s, p, o)| [s, p, o]) {
+            used[id as usize] = true;
+        }
+        let terms = graph.interned_terms().iter().enumerate();
+        entries.extend(
+            terms
+                .filter(|&(l, _)| used[l])
+                .map(|(l, t)| (t, gi, Some(l))),
+        );
+        entries.extend(name.iter().map(|t| (t, gi, None)));
+        slabs.push(slab);
+    }
+    entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    let mut table: Vec<Term> = Vec::new();
+    let mut ids: Vec<Vec<u32>> = graphs
         .iter()
-        .map(|t| table.intern(t))
+        .map(|(_, g)| vec![0; g.term_count()])
         .collect();
-    let mut slab: Slab = graph
-        .ids_matching(None, None, None)
-        .map(|(s, p, o)| {
-            (
-                gids[s.to_u32() as usize],
-                gids[p.to_u32() as usize],
-                gids[o.to_u32() as usize],
-            )
-        })
-        .collect();
-    slab.sort_unstable();
-    slab
+    let mut name_ids = vec![None; graphs.len()];
+    for (term, gi, local) in entries {
+        if table.last() != Some(term) {
+            table.push(term.clone());
+        }
+        let id = u32::try_from(table.len() - 1).expect("term table overflow");
+        match local {
+            Some(l) => ids[gi][l] = id,
+            None => name_ids[gi] = Some(id),
+        }
+    }
+    for (slab, ids) in slabs.iter_mut().zip(&ids) {
+        for t in slab.iter_mut() {
+            *t = (ids[t.0 as usize], ids[t.1 as usize], ids[t.2 as usize]);
+        }
+        slab.sort_unstable();
+    }
+    let union = union_graph(table, slabs.concat()).expect("a canonical table numbers valid graphs");
+    (union, name_ids.into_iter().zip(slabs).collect())
+}
+
+/// The union of `triples`, every graph's slab over `table`, which stays
+/// its numbering: how [`served_graph`] and [`decode`] build the served
+/// graph. Sorted and deduplicated here, the triples reach the graph as
+/// one exactly sized buffer.
+fn union_graph(table: Vec<Term>, mut triples: Slab) -> Result<Graph, SnapshotError> {
+    triples.sort_unstable();
+    triples.dedup();
+    Graph::from_interned(table, triples).map_err(|e| corrupt(e.to_string()))
+}
+
+/// [`served_graph`] of a loaded corpus.
+pub(crate) fn served(corpus: &LoadedCorpus) -> (Graph, Slabs) {
+    served_graph(
+        corpus.descriptions.iter().map(|d| &d.graph),
+        corpus.traces.iter().map(|t| &t.dataset),
+    )
 }
 
 /// Reusable global→local id scratch table: one slot per global term,
@@ -230,76 +287,62 @@ pub fn encode(
     source_bytes: u64,
     manifest: &[SourceRecord],
 ) -> Vec<u8> {
-    let mut table = GlobalTable::default();
-    let mut union: BTreeSet<(u32, u32, u32)> = BTreeSet::new();
+    let (union, slabs) = served(corpus);
+    encode_served(corpus, &union, &slabs, source_files, source_bytes, manifest)
+}
 
-    // Intern every graph first so the term table can be written before
-    // the slabs. Slab order mirrors the corpus vectors.
-    let description_slabs: Vec<Slab> = corpus
-        .descriptions
-        .iter()
-        .map(|d| global_slab(&d.graph, &mut table))
-        .collect();
-    let trace_slabs: Vec<(Slab, Vec<(u32, Slab)>)> = corpus
-        .traces
-        .iter()
-        .map(|t| {
-            let default = global_slab(t.dataset.default_graph(), &mut table);
-            let named: Vec<(u32, Slab)> = t
-                .dataset
-                .named_graphs()
-                .map(|(name, g)| {
-                    let name_id = table.intern(&Term::from(name.clone()));
-                    (name_id, global_slab(g, &mut table))
-                })
-                .collect();
-            (default, named)
-        })
-        .collect();
-    for slab in description_slabs
-        .iter()
-        .chain(trace_slabs.iter().flat_map(|(default, named)| {
-            std::iter::once(default).chain(named.iter().map(|(_, slab)| slab))
-        }))
-    {
-        union.extend(slab.iter().copied());
-    }
-
-    // Union predicate statistics — the planner's cardinality input,
-    // persisted so a warm load can serve it without a counting pass and
-    // verified on load as an integrity check.
-    let mut stats: BTreeMap<u32, u64> = BTreeMap::new();
-    for &(_, p, _) in &union {
-        *stats.entry(p).or_insert(0) += 1;
-    }
-
+/// [`encode`] with `corpus`'s [`served`] graph and slabs already built:
+/// the term table is the union's own.
+pub(crate) fn encode_served(
+    corpus: &LoadedCorpus,
+    union: &Graph,
+    slabs: &Slabs,
+    source_files: u64,
+    source_bytes: u64,
+    manifest: &[SourceRecord],
+) -> Vec<u8> {
+    let mut slabs = slabs.iter();
+    let mut write_next = |body: &mut Vec<u8>| {
+        let (name, slab) = slabs.next().expect("one slab per graph");
+        if let Some(name) = name {
+            provbench_rdf::codec::write_varint(body, u64::from(*name));
+        }
+        write_slab(body, slab);
+    };
     seal(MAGIC, VERSION, |body| {
         provbench_rdf::codec::write_varint(body, source_files);
         provbench_rdf::codec::write_varint(body, source_bytes);
         write_manifest(body, manifest);
-        write_term_table(body, &table.terms);
+        write_term_table(body, union.interned_terms());
         provbench_rdf::codec::write_varint(body, corpus.descriptions.len() as u64);
-        for (d, slab) in corpus.descriptions.iter().zip(&description_slabs) {
+        for d in &corpus.descriptions {
             body.push(system_tag(d.system));
             write_string(body, &d.template_name);
-            write_slab(body, slab);
+            write_next(body);
         }
         provbench_rdf::codec::write_varint(body, corpus.traces.len() as u64);
-        for (t, (default, named)) in corpus.traces.iter().zip(&trace_slabs) {
+        for t in &corpus.traces {
             write_string(body, &t.run_id);
             body.push(system_tag(t.system));
             write_string(body, &t.template_name);
-            write_slab(body, default);
-            provbench_rdf::codec::write_varint(body, named.len() as u64);
-            for (name_id, slab) in named {
-                provbench_rdf::codec::write_varint(body, u64::from(*name_id));
-                write_slab(body, slab);
+            write_next(body);
+            let named = t.dataset.named_graphs().count();
+            provbench_rdf::codec::write_varint(body, named as u64);
+            for _ in 0..named {
+                write_next(body);
             }
         }
+        // Union predicate statistics — the planner's cardinality input,
+        // persisted so a warm load can serve it without a counting pass
+        // and verified on load as an integrity check.
+        let stats: Vec<(u32, usize)> = (0..union.term_count() as u32)
+            .map(|p| (p, union.predicate_cardinality(TermId::from_u32(p))))
+            .filter(|&(_, count)| count > 0)
+            .collect();
         provbench_rdf::codec::write_varint(body, stats.len() as u64);
-        for (p, count) in &stats {
-            provbench_rdf::codec::write_varint(body, u64::from(*p));
-            provbench_rdf::codec::write_varint(body, *count);
+        for (p, count) in stats {
+            provbench_rdf::codec::write_varint(body, u64::from(p));
+            provbench_rdf::codec::write_varint(body, count as u64);
         }
     })
 }
@@ -385,11 +428,16 @@ pub fn decode(bytes: &[u8]) -> Result<DecodedSnapshot, SnapshotError> {
     r.read_varint().map_err(c)?;
     let manifest = read_manifest(&mut r)?;
     let terms = read_term_table(&mut r).map_err(c)?;
+    if let Some(i) = terms.windows(2).position(|w| w[0] >= w[1]) {
+        return Err(corrupt(format!(
+            "term table out of canonical order at entry {}",
+            i + 1
+        )));
+    }
 
     let mut corpus = LoadedCorpus::default();
-    // Slabs are individually sorted; collect them all and sort + dedup
-    // once instead of maintaining an ordered set incrementally.
-    let mut union_slab: Vec<(u32, u32, u32)> = Vec::new();
+    // Every slab's triples, for the union.
+    let mut union_slab: Slab = Vec::new();
     let mut scratch = Compactor::new(terms.len());
 
     let description_count = r.read_varint().map_err(c)? as usize;
@@ -442,11 +490,9 @@ pub fn decode(bytes: &[u8]) -> Result<DecodedSnapshot, SnapshotError> {
         });
     }
 
-    // The union graph keeps the global id space (terms table as-is), so
-    // the persisted stats can be checked id-for-id.
-    union_slab.sort_unstable();
-    union_slab.dedup();
-    let union = Graph::from_interned(terms, union_slab).map_err(|e| corrupt(e.to_string()))?;
+    // The union keeps the table's canonical ids, so the persisted stats
+    // can be checked id-for-id.
+    let union = union_graph(terms, union_slab)?;
 
     let stats_count = r.read_varint().map_err(c)? as usize;
     let mut seen_preds = 0usize;
@@ -577,6 +623,8 @@ mod tests {
             assert_eq!(a.dataset, b.dataset);
         }
         assert_eq!(decoded.union, corpus.combined_dataset().union_graph());
+        let table = decoded.union.interned_terms();
+        assert!(table.windows(2).all(|w| w[0] < w[1]), "table not canonical");
     }
 
     #[test]

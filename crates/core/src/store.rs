@@ -452,7 +452,9 @@ pub struct SnapshotProvenance {
 pub struct CorpusStore {
     /// The loaded corpus (traces + descriptions).
     pub corpus: LoadedCorpus,
-    /// Union of every graph in the corpus.
+    /// The served graph: the union of every graph in the corpus,
+    /// numbered by one canonical term table, so a cold open, a warm open
+    /// and [`Corpus::combined_graph`] give it the same ids.
     pub union: Graph,
     /// Where the data came from (warm snapshot vs cold parse).
     pub provenance: SnapshotProvenance,
@@ -804,7 +806,7 @@ impl CorpusStore {
     ) -> io::Result<CorpusStore> {
         let (source_files, source_bytes) = source_totals(files);
         let (parsed, records) = parse_files(files, opts.jobs, opts.fs, &opts.metrics);
-        let union = parsed.corpus.combined_dataset().union_graph();
+        let (union, slabs) = snapshot::served(&parsed.corpus);
         let store = CorpusStore {
             corpus: parsed.corpus,
             union,
@@ -848,8 +850,10 @@ impl CorpusStore {
         let mut store = store;
         if report_published {
             let encode_start = Instant::now();
-            let encoded = snapshot::encode(
+            let encoded = snapshot::encode_served(
                 &store.corpus,
+                &store.union,
+                &slabs,
                 source_files,
                 source_bytes,
                 &store.manifest.records,
@@ -873,11 +877,6 @@ impl CorpusStore {
             }
         }
         Ok(store)
-    }
-
-    /// The union graph, cloned for engines that take ownership.
-    pub fn union_graph(&self) -> Graph {
-        self.union.clone()
     }
 }
 

@@ -77,8 +77,6 @@ pub struct ServerConfig {
     /// Per-request cap on intermediate rows — a deterministic cost
     /// bound that trips even when the clock barely advances.
     pub(crate) row_budget: Option<u64>,
-    /// Parsed query plans cached by query text (LRU).
-    pub(crate) plan_cache_size: usize,
     /// Total budget for receiving one request, enforced as a deadline
     /// across every read (not per read — a slowloris client dribbling
     /// one byte per timeout would otherwise hold a worker forever). A
@@ -110,14 +108,13 @@ pub struct ServerConfig {
 
 impl ServerConfig {
     /// The default configuration: 8 workers, 32 queued connections, 10s
-    /// query deadline, 50M-row budget, 64-plan cache.
+    /// query deadline, 50M-row budget.
     pub fn new() -> Self {
         ServerConfig {
             workers: 8,
             queue_depth: 32,
             query_timeout: Duration::from_secs(10),
             row_budget: Some(50_000_000),
-            plan_cache_size: 64,
             read_timeout: Duration::from_secs(5),
             write_timeout: Duration::from_secs(5),
             retry_after: None,
@@ -149,12 +146,6 @@ impl ServerConfig {
     /// Per-request cap on intermediate rows (`None` = unbounded).
     pub fn row_budget(mut self, budget: Option<u64>) -> Self {
         self.row_budget = budget;
-        self
-    }
-
-    /// Capacity of the LRU plan cache (0 disables caching).
-    pub fn plan_cache(mut self, capacity: usize) -> Self {
-        self.plan_cache_size = capacity;
         self
     }
 
@@ -219,6 +210,9 @@ impl Default for ServerConfig {
     }
 }
 
+/// Parsed query plans an endpoint keeps, by query text.
+const PLAN_CACHE_CAPACITY: usize = 64;
+
 /// LRU cache of parsed query plans keyed by query text. "Recency" is a
 /// monotone stamp bumped on every hit; eviction drops the smallest.
 struct PlanCache {
@@ -246,9 +240,6 @@ impl PlanCache {
     }
 
     fn insert(&mut self, text: String, plan: Arc<Query>) {
-        if self.capacity == 0 {
-            return;
-        }
         if self.entries.len() >= self.capacity && !self.entries.contains_key(&text) {
             if let Some(oldest) = self
                 .entries
@@ -508,7 +499,7 @@ impl Endpoint {
         let source = config.source.clone().map(Arc::from);
         Endpoint {
             graph: Arc::new(Mutex::new(Arc::new(Graph::new()))),
-            plans: Arc::new(Mutex::new(PlanCache::new(config.plan_cache_size))),
+            plans: Arc::new(Mutex::new(PlanCache::new(PLAN_CACHE_CAPACITY))),
             source: Arc::new(Mutex::new(source)),
             lint_report: Arc::new(Mutex::new(None)),
             health: Arc::new(Health::default()),

@@ -114,14 +114,6 @@ impl DocumentBuilder {
         });
     }
 
-    /// `delegate prov:actedOnBehalfOf responsible`.
-    pub fn delegated(&mut self, delegate: &Iri, responsible: &Iri) {
-        self.doc.add_relation(Relation::ActedOnBehalfOf {
-            delegate: delegate.clone(),
-            responsible: responsible.clone(),
-        });
-    }
-
     /// `generated prov:wasDerivedFrom used`.
     pub fn derived(&mut self, generated: &Iri, used: &Iri) {
         self.doc.add_relation(Relation::WasDerivedFrom {

@@ -32,8 +32,8 @@ pub(crate) mod ops;
 
 use crate::sparql::ast::{GraphPattern, Projection, Query, QueryForm, VarOrIri, VarOrTerm};
 use crate::sparql::eval::{
-    apply_aggregates, estimate, plan_bgp, plan_tp_of_ast, plan_tp_of_resolved, resolve, Bindings,
-    EvalOptions, PlanTp, QueryError, RPattern, RTriple, Resolved, Solutions, VarTable, UNBOUND,
+    apply_aggregates, bgp_order, resolve, resolve_triple, Bindings, EvalOptions, QueryError,
+    RPattern, RTriple, Resolved, Solutions, VarTable, UNBOUND,
 };
 use ops::{
     AskGateOp, BoxIdOp, BoxSolOp, BufferedSolOp, DistinctOp, FilterOp, JoinOp, OptionalOp,
@@ -115,17 +115,9 @@ impl<'g> Lowering<'g> {
     fn lower(&self, pattern: RPattern, mut op: BoxIdOp<'g>) -> BoxIdOp<'g> {
         match pattern {
             RPattern::Basic(tps) => {
-                let order: Vec<usize> = if self.reorder {
-                    let plan_tps: Vec<PlanTp> = tps
-                        .iter()
-                        .map(|tp| plan_tp_of_resolved(tp, self.graph))
-                        .collect();
-                    plan_bgp(&plan_tps).into_iter().map(|(i, _)| i).collect()
-                } else {
-                    (0..tps.len()).collect()
-                };
+                let order = bgp_order(&tps, self.graph, self.reorder);
                 let mut slots: Vec<Option<RTriple>> = tps.into_iter().map(Some).collect();
-                for idx in order {
+                for (idx, _) in order {
                     let tp = slots[idx].take().expect("plan orders each pattern once");
                     op = Box::new(JoinOp::new(op, tp));
                 }
@@ -462,23 +454,11 @@ fn render_p(p: &VarOrIri) -> String {
     }
 }
 
-/// Render the physical operator tree without graph statistics (the
-/// planner falls back to structural selectivity). Prefer
-/// [`explain_on`], which annotates operators with real estimates.
-#[cfg(test)]
-pub(crate) fn explain(query: &Query, opts: &EvalOptions) -> String {
-    explain_impl(None, query, opts)
-}
-
 /// Render the physical operator tree the plan layer would execute for
 /// `query` against `graph`: pipeline stages in execution order (BGP
 /// joins in planner order, each annotated with its cardinality
 /// estimate), then the solution operators with their pushdown notes.
 pub(crate) fn explain_on(graph: &Graph, query: &Query, opts: &EvalOptions) -> String {
-    explain_impl(Some(graph), query, opts)
-}
-
-fn explain_impl(graph: Option<&Graph>, query: &Query, opts: &EvalOptions) -> String {
     let mut out = String::new();
     let form = match query.form {
         QueryForm::Select => "SELECT",
@@ -539,41 +519,29 @@ fn render_pattern(
     p: &GraphPattern,
     depth: usize,
     leading: &mut bool,
-    graph: Option<&Graph>,
+    graph: &Graph,
     opts: &EvalOptions,
     out: &mut String,
 ) {
     let pad = "  ".repeat(depth);
     match p {
         GraphPattern::Basic(tps) => {
+            // Planned as the lowering plans it.
             let mut names = VarTable::default();
-            let plan_tps: Vec<PlanTp> = tps
+            let resolved: Vec<RTriple> = tps
                 .iter()
-                .map(|tp| plan_tp_of_ast(tp, graph, &mut names))
+                .map(|tp| resolve_triple(tp, &mut names, graph))
                 .collect();
-            let order: Vec<(usize, u64)> = if opts.reorder_patterns {
-                plan_bgp(&plan_tps)
-            } else {
-                plan_tps
-                    .iter()
-                    .enumerate()
-                    .map(|(i, tp)| (i, estimate(tp, 0)))
-                    .collect()
-            };
-            for (idx, est) in order {
+            for (idx, est) in bgp_order(&resolved, graph, opts.reorder_patterns) {
                 let tp = &tps[idx];
                 let name = if *leading { "Scan" } else { "IndexedJoin" };
                 *leading = false;
                 out.push_str(&format!(
-                    "{pad}{name} {} {} {}",
+                    "{pad}{name} {} {} {}  (est ~{est} rows)\n",
                     render_s(&tp.subject),
                     render_p(&tp.predicate),
                     render_s(&tp.object),
                 ));
-                if graph.is_some() {
-                    out.push_str(&format!("  (est ~{est} rows)"));
-                }
-                out.push('\n');
             }
         }
         GraphPattern::Group(elems) => {

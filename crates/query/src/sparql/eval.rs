@@ -261,15 +261,21 @@ fn resolve_expr(e: &Expression, vars: &mut VarTable) -> RExpr {
     }
 }
 
+/// One triple pattern over `graph`'s ids: the lowering and `explain`
+/// plan from this.
+pub(crate) fn resolve_triple(tp: &TriplePattern, vars: &mut VarTable, graph: &Graph) -> RTriple {
+    RTriple {
+        s: resolve_var_or_term(&tp.subject, vars, graph),
+        p: resolve_var_or_iri(&tp.predicate, vars, graph),
+        o: resolve_var_or_term(&tp.object, vars, graph),
+    }
+}
+
 fn resolve_pattern(p: &GraphPattern, vars: &mut VarTable, graph: &Graph) -> RPattern {
     match p {
         GraphPattern::Basic(tps) => RPattern::Basic(
             tps.iter()
-                .map(|tp| RTriple {
-                    s: resolve_var_or_term(&tp.subject, vars, graph),
-                    p: resolve_var_or_iri(&tp.predicate, vars, graph),
-                    o: resolve_var_or_term(&tp.object, vars, graph),
-                })
+                .map(|tp| resolve_triple(tp, vars, graph))
                 .collect(),
         ),
         GraphPattern::Group(elems) => RPattern::Group(
@@ -334,14 +340,14 @@ pub(crate) fn resolve(query: &Query, graph: &Graph) -> Result<Resolved, QueryErr
 
 /// Planner view of one triple pattern: which slots are variables (by an
 /// arbitrary dense key) and the cardinality estimate when unbound.
-pub(crate) struct PlanTp {
+struct PlanTp {
     /// Variable key per position; `None` = ground.
-    pub(crate) vars: [Option<usize>; 3],
+    vars: [Option<usize>; 3],
     /// Estimated matches with nothing bound (predicate cardinality when
     /// the predicate is ground, graph size otherwise).
-    pub(crate) card: u64,
+    card: u64,
     /// A ground term is absent from the graph: matches nothing.
-    pub(crate) missing: bool,
+    missing: bool,
 }
 
 /// Greedy join ordering: repeatedly pick the most selective remaining
@@ -349,7 +355,7 @@ pub(crate) struct PlanTp {
 /// variables), smallest cardinality estimate as tie-break — then treat
 /// its variables as bound. Returns `(original index, estimate)` pairs in
 /// execution order.
-pub(crate) fn plan_bgp(tps: &[PlanTp]) -> Vec<(usize, u64)> {
+fn plan_bgp(tps: &[PlanTp]) -> Vec<(usize, u64)> {
     let mut remaining: Vec<usize> = (0..tps.len()).collect();
     let mut bound: BTreeSet<usize> = BTreeSet::new();
     let mut out = Vec::with_capacity(tps.len());
@@ -393,9 +399,28 @@ pub(crate) fn plan_bgp(tps: &[PlanTp]) -> Vec<(usize, u64)> {
     out
 }
 
+/// The order a BGP's patterns run in over `graph`, each with its
+/// estimate: the planner's, or the written order when `reorder` is off.
+/// The lowering and `explain` both order BGPs with this.
+pub(crate) fn bgp_order(tps: &[RTriple], graph: &Graph, reorder: bool) -> Vec<(usize, u64)> {
+    let plan_tps: Vec<PlanTp> = tps
+        .iter()
+        .map(|tp| plan_tp_of_resolved(tp, graph))
+        .collect();
+    if reorder {
+        plan_bgp(&plan_tps)
+    } else {
+        plan_tps
+            .iter()
+            .map(|tp| estimate(tp, 0))
+            .enumerate()
+            .collect()
+    }
+}
+
 /// Cardinality estimate for a pattern given how many of its positions
 /// are bound at this point of the plan.
-pub(crate) fn estimate(tp: &PlanTp, bound_count: usize) -> u64 {
+fn estimate(tp: &PlanTp, bound_count: usize) -> u64 {
     if tp.missing {
         return 0;
     }
@@ -408,7 +433,7 @@ pub(crate) fn estimate(tp: &PlanTp, bound_count: usize) -> u64 {
     tp.card >> bound_count.min(2)
 }
 
-pub(crate) fn plan_tp_of_resolved(tp: &RTriple, graph: &Graph) -> PlanTp {
+fn plan_tp_of_resolved(tp: &RTriple, graph: &Graph) -> PlanTp {
     let var_of = |p: &RPos| match p {
         RPos::Var(v) => Some(*v),
         _ => None,
@@ -423,40 +448,6 @@ pub(crate) fn plan_tp_of_resolved(tp: &RTriple, graph: &Graph) -> PlanTp {
     };
     PlanTp {
         vars: [var_of(&tp.s), var_of(&tp.p), var_of(&tp.o)],
-        card,
-        missing,
-    }
-}
-
-/// Planner view of an AST pattern, used by [`explain`]/[`explain_on`].
-/// With a graph the estimates are real statistics; without one, ground
-/// predicates are simply assumed more selective than variable ones.
-pub(crate) fn plan_tp_of_ast(
-    tp: &TriplePattern,
-    graph: Option<&Graph>,
-    names: &mut VarTable,
-) -> PlanTp {
-    let mut vars = [None, None, None];
-    if let VarOrTerm::Var(v) = &tp.subject {
-        vars[0] = Some(names.slot(v));
-    }
-    if let VarOrIri::Var(v) = &tp.predicate {
-        vars[1] = Some(names.slot(v));
-    }
-    if let VarOrTerm::Var(v) = &tp.object {
-        vars[2] = Some(names.slot(v));
-    }
-    let (card, missing) = match (&tp.predicate, graph) {
-        (VarOrIri::Iri(i), Some(g)) => match g.term_to_id(&Term::Iri(i.clone())) {
-            Some(pid) => (g.predicate_cardinality(pid) as u64, false),
-            None => (0, true),
-        },
-        (VarOrIri::Var(_), Some(g)) => (g.len() as u64, false),
-        (VarOrIri::Iri(_), None) => (1, false),
-        (VarOrIri::Var(_), None) => (u64::MAX >> 2, false),
-    };
-    PlanTp {
-        vars,
         card,
         missing,
     }
@@ -791,7 +782,7 @@ pub(crate) fn execute(graph: &Graph, query: &Query) -> Result<Solutions, QueryEr
 mod tests {
     use super::super::parser::parse_query;
     use super::*;
-    use crate::plan::{explain, explain_on};
+    use crate::plan::explain_on;
     use provbench_rdf::{parse_turtle, Literal};
 
     fn graph() -> Graph {
@@ -998,6 +989,8 @@ mod tests {
 
     #[test]
     fn explain_shows_planned_order() {
+        let g = graph();
+        let explain = |q: &Query, opts: &EvalOptions| explain_on(&g, q, opts);
         let q = parse_query(
             "PREFIX e: <http://e/> SELECT ?r WHERE { ?x ?p ?o . ?r a e:Run } ORDER BY ?r LIMIT 2",
         )
@@ -1023,6 +1016,30 @@ mod tests {
         for node in ["IndexedJoin", "Union", "Optional", "Filter"] {
             assert!(plan.contains(node), "missing {node} in {plan}");
         }
+    }
+
+    #[test]
+    fn explain_runs_an_absent_ground_term_first() {
+        let (g, _) = parse_turtle(
+            r#"@prefix prov: <http://www.w3.org/ns/prov#> .
+            <http://e/r1> prov:used <http://e/d1>, <http://e/d2> .
+            <http://e/r2> prov:used <http://e/d1> ."#,
+        )
+        .unwrap();
+        let q = parse_query(
+            "PREFIX prov: <http://www.w3.org/ns/prov#> \
+             SELECT ?a WHERE { ?a prov:used ?b . ?c ?q <http://nope/x> }",
+        )
+        .unwrap();
+        // No triple has the object, so the lowering scans that pattern
+        // first, estimated at 0 rows, and explain says so.
+        let plan = explain_on(&g, &q, &EvalOptions::default());
+        let first = plan.lines().nth(1).unwrap();
+        assert_eq!(
+            first, "  Scan ?c ?q <http://nope/x>  (est ~0 rows)",
+            "{plan}"
+        );
+        assert!(execute(&g, &q).unwrap().is_empty());
     }
 
     #[test]

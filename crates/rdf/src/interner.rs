@@ -6,10 +6,14 @@ use std::collections::HashMap;
 
 /// A dense symbol for an interned [`Term`].
 ///
-/// Ids are per-[`crate::Graph`]: they are assigned in first-seen order by
-/// that graph's interner and are meaningless across graphs. The query
-/// engine evaluates joins over these integers and only resolves them back
-/// to terms at projection time.
+/// Ids are per-[`crate::Graph`] and meaningless across graphs. A graph
+/// built by insertion numbers its terms in first-seen order; one built by
+/// [`crate::Graph::from_interned`] keeps its table's order. The corpus
+/// store serves a union graph whose table is canonical — sorted by
+/// `Term`'s own order — so its ids, and the order of index scans over
+/// them, are the same however it was opened. The query engine evaluates
+/// joins over these integers and only resolves them back to terms at
+/// projection time.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct TermId(pub(crate) u32);
 
@@ -36,11 +40,6 @@ pub(crate) struct Interner {
 }
 
 impl Interner {
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn new() -> Self {
-        Interner::default()
-    }
-
     /// Intern a term, returning its stable id.
     pub fn intern(&mut self, term: &Term) -> TermId {
         if let Some(&id) = self.to_id.get(term) {
@@ -98,7 +97,7 @@ mod tests {
 
     #[test]
     fn intern_is_idempotent() {
-        let mut i = Interner::new();
+        let mut i = Interner::default();
         let t: Term = Iri::new("http://ex.org/a").unwrap().into();
         let a = i.intern(&t);
         let b = i.intern(&t);
@@ -109,7 +108,7 @@ mod tests {
 
     #[test]
     fn distinct_terms_distinct_ids() {
-        let mut i = Interner::new();
+        let mut i = Interner::default();
         let a = i.intern(&Term::Literal(Literal::simple("x")));
         let b = i.intern(&Term::Literal(Literal::lang("x", "en").unwrap()));
         let c = i.intern(&Term::Iri(Iri::new("http://ex.org/x").unwrap()));
@@ -119,7 +118,7 @@ mod tests {
 
     #[test]
     fn get_does_not_intern() {
-        let mut i = Interner::new();
+        let mut i = Interner::default();
         let t: Term = Literal::simple("y").into();
         assert!(i.get(&t).is_none());
         let id = i.intern(&t);
@@ -128,7 +127,7 @@ mod tests {
 
     #[test]
     fn raw_roundtrip() {
-        let mut i = Interner::new();
+        let mut i = Interner::default();
         let id = i.intern(&Term::Literal(Literal::simple("z")));
         assert_eq!(TermId::from_u32(id.to_u32()), id);
     }

@@ -7,7 +7,8 @@
 use provbench::analysis::{decay_summary, diagnose_corpus};
 use provbench::corpus::stats::CorpusStats;
 use provbench::corpus::{Corpus, CorpusSpec};
-use provbench::query::exemplar::q1_runs;
+use provbench::query::exemplar::{q1_runs, PREFIXES};
+use provbench::query::QueryEngine;
 use std::sync::OnceLock;
 
 fn corpus() -> &'static Corpus {
@@ -36,6 +37,35 @@ fn q1_count_matches_experiments_md() {
     // 198 top-level runs + nested Taverna sub-workflow runs = 232.
     let runs = q1_runs(&corpus().combined_graph());
     assert_eq!(runs.len(), 232, "Q1 run count drifted");
+}
+
+/// The first rows of an unordered query: index order over the served
+/// graph's canonical term ids. Any change to term numbering or join
+/// order moves these rows; such a move must be listed in CHANGES.md.
+#[test]
+fn unordered_rows_follow_the_canonical_numbering() {
+    let graph = corpus().combined_graph();
+    let query = format!("{PREFIXES}SELECT ?run ?data WHERE {{ ?run prov:used ?data }} LIMIT 4");
+    let solutions = QueryEngine::new(&graph)
+        .prepare(&query)
+        .and_then(|p| p.select())
+        .unwrap();
+    let rows: Vec<String> = solutions
+        .rows
+        .iter()
+        .map(|row| format!("{} {}", row["run"], row["data"]))
+        .collect();
+    let run = "http://ns.taverna.org.uk/2011/run/astronomy_tav_000-run-1";
+    assert_eq!(
+        rows,
+        [
+            format!("<{run}/process/plot_lightcurve> <{run}/data/0>"),
+            format!("<{run}/process/query_vizier> <{run}/data/0>"),
+            format!("<{run}/workflow-run> <{run}/data/0>"),
+            format!("<{run}/process/compute_redshift> <{run}/data/1>"),
+        ],
+        "unordered row order moved: list it in CHANGES.md"
+    );
 }
 
 #[test]

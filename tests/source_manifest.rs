@@ -359,18 +359,22 @@ fn older_cache_formats_rebuild_cleanly() {
     let registry = Registry::with_corpus_rules();
     let reference = CorpusStore::open_or_build(&dir).unwrap();
     let cold = diag::lint_corpus_incremental(&dir, &registry, &lint_opts()).unwrap();
-    // Stamp each file with the previous format version.
-    for (file, version) in [(SNAPSHOT_FILE, 2u16), (LINT_SNAPSHOT_FILE, 1)] {
+    // Stamp each file with an earlier format version.
+    let stamp = |file: &str, version: u16| {
         let path = dir.join(file);
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[6..8].copy_from_slice(&version.to_le_bytes());
         std::fs::write(&path, bytes).unwrap();
+    };
+    stamp(LINT_SNAPSHOT_FILE, 1);
+    for version in [2, 3] {
+        stamp(SNAPSHOT_FILE, version);
+        let store = CorpusStore::open_or_build(&dir).unwrap();
+        assert!(!store.provenance.warm);
+        let reason = store.provenance.rebuild_reason.unwrap();
+        assert!(reason.contains(&format!("version {version}")), "{reason}");
+        assert_eq!(store.union, reference.union);
     }
-    let store = CorpusStore::open_or_build(&dir).unwrap();
-    assert!(!store.provenance.warm);
-    let reason = store.provenance.rebuild_reason.unwrap();
-    assert!(reason.contains("version 2"), "{reason}");
-    assert_eq!(store.union, reference.union);
     let lint = diag::lint_corpus_incremental(&dir, &registry, &lint_opts()).unwrap();
     assert_eq!(lint.analyzed, cold.analyzed);
     assert_eq!(
