@@ -12,11 +12,11 @@ use provbench_query::{parse_query, EvalOptions, QueryEngine, QueryError, QueryPa
 use provbench_rdf::Graph;
 use std::collections::HashMap;
 use std::io;
-use std::net::{TcpListener, ToSocketAddrs};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, TrySendError};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Counter of served requests (`method`, `route`, `status` labels).
@@ -277,7 +277,42 @@ struct Health {
     /// `/sparql` refuses new queries while in-flight ones finish.
     draining: AtomicBool,
     /// Connections accepted into the worker queue and not yet answered.
-    inflight: AtomicUsize,
+    inflight: Mutex<usize>,
+    /// Notified when `inflight` drops to 0, for the drain to wait on.
+    idle: Condvar,
+}
+
+impl Health {
+    /// One more connection in flight.
+    fn begin(&self) {
+        *lock(&self.inflight) += 1;
+    }
+
+    /// One connection fewer in flight; the last one wakes the drain.
+    fn end(&self) {
+        let mut inflight = lock(&self.inflight);
+        *inflight -= 1;
+        if *inflight == 0 {
+            self.idle.notify_all();
+        }
+    }
+
+    /// Block until nothing is in flight or `deadline` passes; whether
+    /// nothing is.
+    fn wait_idle(&self, deadline: Instant) -> bool {
+        let mut inflight = lock(&self.inflight);
+        while *inflight > 0 {
+            let Some(left) = deadline.checked_duration_since(Instant::now()) else {
+                return false;
+            };
+            inflight = self
+                .idle
+                .wait_timeout(inflight, left)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
+        true
+    }
 }
 
 /// The endpoint's registry plus pre-registered handles for the metrics
@@ -377,15 +412,27 @@ fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 
 /// A shutdown request shared between the serving loop and whoever
 /// triggers it — a signal handler, a test, or an embedder's control
-/// plane. Cloning shares the flag.
+/// plane. Cloning shares the request.
 ///
-/// When the flag flips, [`Endpoint::serve_with_shutdown`] switches to
+/// When it is requested, [`Endpoint::serve_with_shutdown`] switches to
 /// draining: `/readyz` starts answering `503` with `"draining":true`,
 /// in-flight requests run to completion (bounded by
 /// [`ServerConfig::drain_deadline`]), and the serve call returns `Ok`.
+/// Nothing polls for it: [`ShutdownSignal::wait`] blocks on a condition
+/// variable that [`ShutdownSignal::request`] notifies.
 #[derive(Clone, Debug, Default)]
 pub struct ShutdownSignal {
-    requested: Arc<AtomicBool>,
+    state: Arc<SignalState>,
+}
+
+#[derive(Debug, Default)]
+struct SignalState {
+    /// Set once, by `request` or by the signal handler.
+    requested: AtomicBool,
+    /// Held while setting `requested` and while checking it before a
+    /// wait, so that no notification is lost.
+    lock: Mutex<()>,
+    changed: Condvar,
 }
 
 impl ShutdownSignal {
@@ -394,16 +441,31 @@ impl ShutdownSignal {
         ShutdownSignal::default()
     }
 
-    /// Request shutdown. Idempotent, callable from any thread (and, via
-    /// the installed handler, from signal context — it is a single
-    /// atomic store).
+    /// Request shutdown and wake every [`wait`](ShutdownSignal::wait).
+    /// Idempotent and callable from any thread, but not from a signal
+    /// handler (it takes a lock): a signal reaches it through
+    /// [`install_termination_handler`](ShutdownSignal::install_termination_handler).
     pub fn request(&self) {
-        self.requested.store(true, Ordering::SeqCst);
+        let _guard = lock(&self.state.lock);
+        self.state.requested.store(true, Ordering::SeqCst);
+        self.state.changed.notify_all();
     }
 
     /// Whether shutdown has been requested.
     pub fn is_requested(&self) -> bool {
-        self.requested.load(Ordering::SeqCst)
+        self.state.requested.load(Ordering::SeqCst)
+    }
+
+    /// Block until shutdown is requested.
+    pub fn wait(&self) {
+        let mut guard = lock(&self.state.lock);
+        while !self.is_requested() {
+            guard = self
+                .state
+                .changed
+                .wait(guard)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
     }
 
     /// Route `SIGTERM` and `SIGINT` (Ctrl-C) to this signal so a served
@@ -411,34 +473,81 @@ impl ShutdownSignal {
     /// the handlers are active for *this* signal: only the first signal
     /// instance in the process can own them (the handler target is a
     /// process-wide slot), and non-Unix platforms have none.
+    ///
+    /// A signal handler may only do async-signal-safe work, so on Unix
+    /// the handler sets the flag and, for the first signal, writes one
+    /// byte to a socket pair made here; a thread blocked reading the
+    /// other end then calls [`request`](ShutdownSignal::request), which
+    /// wakes every waiter. The handler is installed with `signal(2)`,
+    /// whose restarting semantics leave a blocked `accept` blocked: the
+    /// request, not the signal, ends serving.
     pub fn install_termination_handler(&self) -> bool {
         self.install_os_handlers()
     }
 
     #[cfg(unix)]
     fn install_os_handlers(&self) -> bool {
+        use std::io::Read;
+        use std::os::fd::IntoRawFd;
+        use std::os::unix::net::UnixStream;
+        use std::sync::atomic::AtomicI32;
         use std::sync::OnceLock;
 
-        // The libc signal handler can only reach process-global state,
-        // and must touch nothing but an atomic (async-signal-safety).
-        static TARGET: OnceLock<Arc<AtomicBool>> = OnceLock::new();
+        // The handler can only reach process-global state, and may do
+        // nothing but async-signal-safe work: an atomic swap and, for
+        // the first signal only, one `write(2)` of one byte, which
+        // cannot block on an empty socket.
+        static TARGET: OnceLock<Arc<SignalState>> = OnceLock::new();
+        static WAKE_FD: AtomicI32 = AtomicI32::new(-1);
         extern "C" fn on_terminate(_signum: i32) {
-            if let Some(flag) = TARGET.get() {
-                flag.store(true, Ordering::SeqCst);
+            let fd = WAKE_FD.load(Ordering::SeqCst);
+            if let Some(state) = TARGET.get() {
+                if fd >= 0 && !state.requested.swap(true, Ordering::SeqCst) {
+                    let byte = 1u8;
+                    // SAFETY: `fd` is the write end of the socket pair,
+                    // never closed once stored, and `byte` outlives the
+                    // call, which reads one byte from it.
+                    unsafe { write(fd, &byte, 1) };
+                }
             }
         }
 
         type SigHandler = extern "C" fn(i32);
         extern "C" {
             fn signal(signum: i32, handler: SigHandler) -> usize;
+            fn write(fd: i32, buf: *const u8, count: usize) -> isize;
         }
         const SIGINT: i32 = 2;
         const SIGTERM: i32 = 15;
 
-        let target = TARGET.get_or_init(|| Arc::clone(&self.requested));
-        if !Arc::ptr_eq(target, &self.requested) {
+        let target = TARGET.get_or_init(|| Arc::clone(&self.state));
+        if !Arc::ptr_eq(target, &self.state) {
             return false; // another signal instance owns the handlers
         }
+        if WAKE_FD.load(Ordering::SeqCst) < 0 {
+            let Ok((mut reader, writer)) = UnixStream::pair() else {
+                return false;
+            };
+            // Never joined: it blocks in `read` until the first signal,
+            // which may never come.
+            let requester = self.clone();
+            let spawned = std::thread::Builder::new()
+                .name("shutdown-signal".into())
+                .spawn(move || {
+                    if reader.read_exact(&mut [0u8; 1]).is_ok() {
+                        requester.request();
+                    }
+                });
+            if spawned.is_err() {
+                return false;
+            }
+            // The write end lives as long as the process: the handler
+            // may run at any time.
+            WAKE_FD.store(writer.into_raw_fd(), Ordering::SeqCst);
+        }
+        // SAFETY: `on_terminate` is an `extern "C" fn(i32)` that stays
+        // valid for the life of the process and does only
+        // async-signal-safe work.
         unsafe {
             signal(SIGINT, on_terminate);
             signal(SIGTERM, on_terminate);
@@ -636,8 +745,8 @@ impl Endpoint {
         if self.health.draining.load(Ordering::SeqCst) {
             return self.config.drain_deadline.as_secs().clamp(1, 60);
         }
-        let workers = self.config.workers.max(1) as u64;
-        (self.config.queue_depth.max(1) as u64)
+        let workers = self.config.workers as u64;
+        (self.config.queue_depth as u64)
             .div_ceil(workers)
             .clamp(1, 30)
     }
@@ -654,8 +763,8 @@ impl Endpoint {
     fn readyz(&self) -> Response {
         let corpus_loaded = self.is_ready();
         let draining = self.health.draining.load(Ordering::SeqCst);
-        let inflight = self.health.inflight.load(Ordering::SeqCst);
-        let capacity = self.config.workers.max(1) + self.config.queue_depth.max(1);
+        let inflight = *lock(&self.health.inflight);
+        let capacity = self.config.workers + self.config.queue_depth;
         let saturated = inflight >= capacity;
         let ready = corpus_loaded && !saturated && !draining;
         let body = format!(
@@ -993,36 +1102,52 @@ SELECT ?run ?start WHERE {{
     }
 
     /// Serve forever on an existing listener (no shutdown signal — see
-    /// [`Endpoint::serve_with_shutdown`]). `config.workers` threads
-    /// drain a queue of at most `config.queue_depth` waiting
-    /// connections; when the queue is full the acceptor answers `503`
-    /// inline so the server's thread count stays fixed under any burst.
+    /// [`Endpoint::serve_with_shutdown`], which this runs with a signal
+    /// nobody requests). `config.workers` threads drain a queue of at
+    /// most `config.queue_depth` waiting connections; when the queue is
+    /// full the acceptor answers `503` inline so the server's thread
+    /// count stays fixed under any burst. The acceptor blocks in
+    /// `accept`: an idle server does no work at all.
     pub fn serve_on(&self, listener: TcpListener) -> io::Result<()> {
         self.serve_with_shutdown(listener, &ShutdownSignal::new())
     }
 
-    /// Serve on an existing listener until `shutdown` fires, then drain
-    /// gracefully and return `Ok`.
+    /// Serve on an existing listener until `shutdown` is requested, then
+    /// drain gracefully and return `Ok`.
     ///
-    /// The drain sequence: `/readyz` flips to `503` + `"draining":true`
-    /// and `/sparql` refuses new queries (probes keep answering, so the
-    /// drain is observable); in-flight requests run to completion,
-    /// bounded by [`ServerConfig::drain_deadline`]; the drain duration
-    /// lands in `provbench_shutdown_drain_seconds`; and the call
-    /// returns so the process can exit cleanly.
+    /// An acceptor thread blocks in `accept` (the listener is put in
+    /// blocking mode) and hands each connection to the worker pool;
+    /// the calling thread blocks in [`ShutdownSignal::wait`]. Nothing
+    /// sleeps or polls. The drain sequence:
+    ///
+    /// * `/readyz` flips to `503` + `"draining":true` and `/sparql`
+    ///   refuses new queries. The acceptor keeps accepting, so a client
+    ///   arriving during the drain gets that draining `503`, and probes
+    ///   keep answering;
+    /// * in-flight requests run to completion: the calling thread waits
+    ///   on a condition variable that the last of them notifies,
+    ///   bounded by [`ServerConfig::drain_deadline`];
+    /// * the acceptor stops: one loopback connection to the listener
+    ///   wakes it, and it closes that connection, and any other it
+    ///   accepts from then on, unanswered and uncounted in
+    ///   `provbench_connections_total`;
+    /// * the drain duration lands in `provbench_shutdown_drain_seconds`,
+    ///   the pool is joined when it drained in time, and the call
+    ///   returns so the process can exit cleanly.
+    ///
+    /// If `accept` itself fails, the acceptor requests `shutdown`: the
+    /// loop drains as above and returns that error.
     pub fn serve_with_shutdown(
         &self,
         listener: TcpListener,
         shutdown: &ShutdownSignal,
     ) -> io::Result<()> {
-        // Nonblocking accept so the loop observes the shutdown flag
-        // promptly (a signal cannot wake a blocking accept portably).
-        listener.set_nonblocking(true)?;
-        const POLL: Duration = Duration::from_millis(2);
-        let (tx, rx) = sync_channel::<Box<dyn Conn>>(self.config.queue_depth.max(1));
+        listener.set_nonblocking(false)?;
+        let wake_addr = loopback(listener.local_addr()?);
+        let (tx, rx) = sync_channel::<Box<dyn Conn>>(self.config.queue_depth);
         let rx = Arc::new(Mutex::new(rx));
-        let mut workers = Vec::with_capacity(self.config.workers.max(1));
-        for _ in 0..self.config.workers.max(1) {
+        let mut workers = Vec::with_capacity(self.config.workers);
+        for _ in 0..self.config.workers {
             let endpoint = self.clone();
             let rx: Arc<Mutex<Receiver<Box<dyn Conn>>>> = Arc::clone(&rx);
             workers.push(std::thread::spawn(move || loop {
@@ -1031,63 +1156,39 @@ SELECT ?run ?start WHERE {{
                     break; // acceptor gone
                 };
                 endpoint.serve_conn(conn.as_mut());
-                endpoint.health.inflight.fetch_sub(1, Ordering::SeqCst);
+                endpoint.health.end();
             }));
         }
-        let mut drain_started: Option<Instant> = None;
-        loop {
-            if drain_started.is_none() && shutdown.is_requested() {
-                self.health.draining.store(true, Ordering::SeqCst);
-                drain_started = Some(Instant::now());
-            }
-            if let Some(started) = drain_started {
-                // Keep accepting while draining (late probes get a
-                // draining 503, not a refused connection) until the
-                // in-flight work is done or the deadline passes.
-                let done = self.health.inflight.load(Ordering::SeqCst) == 0;
-                if done || started.elapsed() >= self.config.drain_deadline {
-                    break;
-                }
-            }
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    // Accepted sockets don't inherit the listener's
-                    // nonblocking mode on every platform; be explicit.
-                    if stream.set_nonblocking(false).is_err() {
-                        self.metrics.socket_errors.inc();
-                        self.record_conn("socket_error");
-                        continue;
-                    }
-                    self.health.inflight.fetch_add(1, Ordering::SeqCst);
-                    match tx.try_send(Box::new(stream)) {
-                        Ok(()) => {}
-                        Err(TrySendError::Full(mut conn)) => {
-                            self.health.inflight.fetch_sub(1, Ordering::SeqCst);
-                            self.reject_conn(conn.as_mut());
-                        }
-                        Err(TrySendError::Disconnected(_)) => {
-                            self.health.inflight.fetch_sub(1, Ordering::SeqCst);
-                            break;
-                        }
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(POLL),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        // Stop feeding the pool; workers exit when the queue is empty.
-        drop(tx);
-        let started = drain_started.unwrap_or_else(Instant::now);
+        let stopped = Arc::new(AtomicBool::new(false));
+        let acceptor = {
+            let endpoint = self.clone();
+            let stopped = Arc::clone(&stopped);
+            let shutdown = shutdown.clone();
+            std::thread::spawn(move || endpoint.accept_loop(&listener, &tx, &stopped, &shutdown))
+        };
+
+        shutdown.wait();
+        self.health.draining.store(true, Ordering::SeqCst);
+        let started = Instant::now();
         let deadline = started + self.config.drain_deadline;
-        while self.health.inflight.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
-            std::thread::sleep(POLL);
-        }
-        if self.health.inflight.load(Ordering::SeqCst) == 0 {
-            // Fully drained: join the pool so every response is flushed
-            // before the caller exits the process. (Past the deadline a
-            // straggler may still hold a worker; leave it detached
-            // rather than hang the shutdown.)
+        self.health.wait_idle(deadline);
+        // Stop the acceptor. It has returned already if it stopped by
+        // itself; otherwise one loopback connection wakes it from
+        // `accept`. Should that fail, leave it blocked there rather than
+        // hang the shutdown.
+        let accepted = if stopped.swap(true, Ordering::SeqCst)
+            || TcpStream::connect_timeout(&wake_addr, Duration::from_secs(1)).is_ok()
+        {
+            acceptor.join().unwrap_or(Ok(()))
+        } else {
+            Ok(())
+        };
+        // The acceptor is gone, so the queue ends once emptied. Join the
+        // pool when everything drained, connections that raced the stop
+        // included, so every response is flushed before the caller exits
+        // the process. Past the deadline a straggler may still hold a
+        // worker: leave the pool detached rather than hang the shutdown.
+        if self.health.wait_idle(deadline) {
             for worker in workers {
                 let _ = worker.join();
             }
@@ -1100,8 +1201,63 @@ SELECT ?run ?start WHERE {{
                 LATENCY_BUCKETS,
             )
             .observe_duration(started.elapsed());
+        accepted
+    }
+
+    /// The acceptor: hand each accepted connection to the worker queue,
+    /// or answer `503` inline when the queue is full, until `stopped`.
+    /// It stops by itself, setting `stopped` and requesting `shutdown`,
+    /// when `accept` fails (and returns that error) or every worker is
+    /// gone.
+    fn accept_loop(
+        &self,
+        listener: &TcpListener,
+        tx: &SyncSender<Box<dyn Conn>>,
+        stopped: &AtomicBool,
+        shutdown: &ShutdownSignal,
+    ) -> io::Result<()> {
+        let stop = || {
+            stopped.store(true, Ordering::SeqCst);
+            shutdown.request();
+        };
+        for stream in listener.incoming() {
+            if stopped.load(Ordering::SeqCst) {
+                return Ok(()); // the wake-up connection, or a late client
+            }
+            let stream = match stream {
+                Ok(stream) => stream,
+                Err(e) => {
+                    stop();
+                    return Err(e);
+                }
+            };
+            self.health.begin();
+            match tx.try_send(Box::new(stream)) {
+                Ok(()) => {}
+                Err(TrySendError::Full(mut conn)) => {
+                    self.health.end();
+                    self.reject_conn(conn.as_mut());
+                }
+                Err(TrySendError::Disconnected(_)) => {
+                    self.health.end();
+                    stop();
+                    return Ok(());
+                }
+            }
+        }
         Ok(())
     }
+}
+
+/// Where a connection to `local` lands: itself, or the loopback address
+/// of its family when it is bound to every interface.
+fn loopback(local: SocketAddr) -> SocketAddr {
+    let ip = match local.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, local.port())
 }
 
 fn escape_json(s: &str) -> String {
@@ -2039,6 +2195,15 @@ mod tests {
         probe.read_to_string(&mut readyz).unwrap();
         assert!(readyz.starts_with("HTTP/1.1 503"), "{readyz}");
         assert!(readyz.contains("\"draining\":true"), "{readyz}");
+        // So does a query: it is answered the draining 503, a delivered
+        // response like any other.
+        let q = crate::http::url_encode("SELECT ?s WHERE { ?s ?p ?o }");
+        let mut late = TcpStream::connect(addr).unwrap();
+        write!(late, "GET /sparql?query={q} HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
+        let mut refused = String::new();
+        late.read_to_string(&mut refused).unwrap();
+        assert!(refused.starts_with("HTTP/1.1 503"), "{refused}");
+        assert!(refused.contains("\"error\":\"draining\""), "{refused}");
 
         // The in-flight query still completes, byte-complete.
         let response = inflight.join().unwrap();
@@ -2056,5 +2221,76 @@ mod tests {
             1,
             "{rendered}"
         );
+        // The slow query, the probe and the refused query: three
+        // delivered responses. The wake-up connection is not counted.
+        assert_eq!(
+            sample(&rendered, "provbench_connections_total{result=\"ok\"}"),
+            3,
+            "{rendered}"
+        );
+        let requests = rendered
+            .lines()
+            .find(|l| {
+                l.starts_with("provbench_http_requests_total{")
+                    && l.contains("route=\"/sparql\"")
+                    && l.contains("status=\"503\"")
+            })
+            .unwrap_or_else(|| panic!("no /sparql 503 sample in\n{rendered}"));
+        assert!(requests.ends_with(" 1"), "{requests}");
+    }
+
+    /// An idle server blocks in `accept` and returns promptly once
+    /// shutdown is requested: the request wakes the drain, and one
+    /// loopback connection wakes the acceptor, which closes it
+    /// uncounted.
+    #[test]
+    fn idle_shutdown_returns_promptly_and_counts_no_connection() {
+        let ep = endpoint();
+        let registry = Arc::clone(ep.registry());
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let shutdown = ShutdownSignal::new();
+        let signal = shutdown.clone();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let served = ep.serve_with_shutdown(listener, &signal);
+            done_tx.send((served.is_ok(), Instant::now())).unwrap();
+        });
+        std::thread::sleep(Duration::from_millis(100));
+        assert!(done_rx.try_recv().is_err(), "returned before shutdown");
+
+        let requested = Instant::now();
+        shutdown.request();
+        let (ok, returned) = done_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert!(ok);
+        let took = returned - requested;
+        assert!(
+            took < Duration::from_millis(200),
+            "returned {took:?} after request()"
+        );
+        let rendered = registry.render_prometheus();
+        assert!(
+            !rendered.contains("provbench_connections_total"),
+            "{rendered}"
+        );
+        assert_eq!(
+            sample(&rendered, "provbench_shutdown_drain_seconds_count"),
+            1,
+            "{rendered}"
+        );
+    }
+
+    #[test]
+    fn wait_blocks_until_requested() {
+        let signal = ShutdownSignal::new();
+        let waiter = {
+            let signal = signal.clone();
+            std::thread::spawn(move || signal.wait())
+        };
+        std::thread::sleep(Duration::from_millis(50));
+        assert!(!waiter.is_finished() && !signal.is_requested());
+        signal.request();
+        waiter.join().unwrap();
+        assert!(signal.is_requested());
+        signal.wait(); // already requested: returns at once
     }
 }

@@ -1,4 +1,9 @@
 //! Recursive-descent parser for the SPARQL subset.
+//!
+//! Nesting is bounded: a query deeper than [`MAX_NESTING`] levels is
+//! refused with an ordinary spanned [`QueryParseError`], so neither the
+//! parser nor any later walk over the tree it builds (resolution,
+//! lowering, evaluation, drop) can overflow a thread's stack.
 
 use super::ast::*;
 use super::lexer::{tokenize, LexError, SpannedTok, Tok};
@@ -54,10 +59,24 @@ impl From<LexError> for QueryParseError {
     }
 }
 
+/// The deepest a query may nest. One level is counted for each group
+/// `{ … }`, each OPTIONAL, each parenthesis, each function's argument
+/// list and each `!`, and one for each link of a `||`, `&&` or `UNION`
+/// chain, which builds a left-deep tree one level taller per link. The
+/// deepest accepted query of each of these shapes parses, runs and
+/// drops on a thread with a 2 MiB stack, in a debug build too; Q1–Q6
+/// nest at most 5 levels.
+pub const MAX_NESTING: usize = 128;
+
 struct Parser {
     toks: Vec<SpannedTok>,
     pos: usize,
     prefixes: PrefixMap,
+    /// Nesting levels open at the current token.
+    depth: usize,
+    /// The deepest level reached so far, chain links included: a chain
+    /// reads each operand's height off it.
+    deepest: usize,
 }
 
 type PResult<T> = Result<T, QueryParseError>;
@@ -77,7 +96,12 @@ impl Parser {
 
     /// An error spanning the current token.
     fn err_here(&self, message: impl Into<String>) -> QueryParseError {
-        let t = &self.toks[self.pos];
+        self.err_at(self.pos, message)
+    }
+
+    /// An error spanning the token at `pos`.
+    fn err_at(&self, pos: usize, message: impl Into<String>) -> QueryParseError {
+        let t = &self.toks[pos];
         QueryParseError {
             line: t.line,
             column: t.column,
@@ -91,9 +115,68 @@ impl Parser {
         Err(self.err_here(message))
     }
 
-    fn expect(&mut self, tok: &Tok, what: &str) -> PResult<()> {
+    /// The error for a query that crosses [`MAX_NESTING`] at the token
+    /// at `pos`.
+    fn too_deep(&self, pos: usize) -> QueryParseError {
+        self.err_at(pos, format!("query nests deeper than {MAX_NESTING} levels"))
+    }
+
+    /// Parse `inner` one nesting level down; the level opens at the
+    /// token at `pos`, which the error spans if it is one too many.
+    fn nested<T>(&mut self, pos: usize, inner: impl FnOnce(&mut Self) -> PResult<T>) -> PResult<T> {
+        if self.depth >= MAX_NESTING {
+            return Err(self.too_deep(pos));
+        }
+        self.depth += 1;
+        self.deepest = self.deepest.max(self.depth);
+        let parsed = inner(self)?;
+        self.depth -= 1;
+        Ok(parsed)
+    }
+
+    /// `operand (link operand)*` as a left-deep tree. Each link puts
+    /// the tree built so far and the next operand one level under a new
+    /// node; the link that makes the tree deeper than [`MAX_NESTING`]
+    /// is refused.
+    fn chain<T>(
+        &mut self,
+        link: impl Fn(&mut Self) -> bool,
+        operand: impl Fn(&mut Self) -> PResult<T>,
+        join: impl Fn(Box<T>, Box<T>) -> T,
+    ) -> PResult<T> {
+        let base = self.depth;
+        let outer = std::mem::replace(&mut self.deepest, base);
+        let mut tree = operand(self)?;
+        let mut bottom = self.deepest;
+        loop {
+            let at = self.pos;
+            if !link(self) {
+                break;
+            }
+            self.deepest = base;
+            let right = operand(self)?;
+            bottom = bottom.max(self.deepest) + 1;
+            if bottom > MAX_NESTING {
+                return Err(self.too_deep(at));
+            }
+            tree = join(Box::new(tree), Box::new(right));
+        }
+        self.deepest = outer.max(bottom);
+        Ok(tree)
+    }
+
+    /// Consume `tok` if it is next.
+    fn eat(&mut self, tok: &Tok) -> bool {
         if self.peek() == tok {
             self.bump();
+            true
+        } else {
+            false
+        }
+    }
+
+    fn expect(&mut self, tok: &Tok, what: &str) -> PResult<()> {
+        if self.eat(tok) {
             Ok(())
         } else {
             self.err(format!("expected {what}, found {:?}", self.peek()))
@@ -329,7 +412,12 @@ impl Parser {
         })
     }
 
+    /// `{ … }`, one nesting level down.
     fn parse_group_graph_pattern(&mut self) -> PResult<GraphPattern> {
+        self.nested(self.pos, Self::parse_group_body)
+    }
+
+    fn parse_group_body(&mut self) -> PResult<GraphPattern> {
         self.expect(&Tok::OpenBrace, "`{`")?;
         let mut elements: Vec<GraphPattern> = Vec::new();
         loop {
@@ -340,22 +428,25 @@ impl Parser {
                 }
                 Tok::Eof => return self.err("unterminated group pattern"),
                 Tok::Keyword(k) if k == "OPTIONAL" => {
-                    self.bump();
-                    let inner = self.parse_group_graph_pattern()?;
+                    let inner = self.nested(self.pos, |p| {
+                        p.bump();
+                        p.parse_group_graph_pattern()
+                    })?;
                     elements.push(GraphPattern::Optional(Box::new(inner)));
                 }
                 Tok::Keyword(k) if k == "FILTER" => {
+                    // FILTER (expr) or FILTER builtin(...).
                     self.bump();
-                    let e = self.parse_constraint()?;
+                    let e = self.parse_primary_expression()?;
                     elements.push(GraphPattern::Filter(e));
                 }
                 Tok::OpenBrace => {
-                    let mut left = self.parse_group_graph_pattern()?;
-                    while self.keyword("UNION") {
-                        let right = self.parse_group_graph_pattern()?;
-                        left = GraphPattern::Union(Box::new(left), Box::new(right));
-                    }
-                    elements.push(left);
+                    let union = self.chain(
+                        |p| p.keyword("UNION"),
+                        Self::parse_group_graph_pattern,
+                        GraphPattern::Union,
+                    )?;
+                    elements.push(union);
                 }
                 Tok::Dot => {
                     self.bump();
@@ -468,36 +559,20 @@ impl Parser {
         }
     }
 
-    fn parse_constraint(&mut self) -> PResult<Expression> {
-        // FILTER (expr) or FILTER builtin(...).
-        if matches!(self.peek(), Tok::OpenParen) {
-            self.bump();
-            let e = self.parse_expression()?;
-            self.expect(&Tok::CloseParen, "`)`")?;
-            Ok(e)
-        } else {
-            self.parse_primary_expression()
-        }
-    }
-
     fn parse_expression(&mut self) -> PResult<Expression> {
-        let mut left = self.parse_and_expression()?;
-        while matches!(self.peek(), Tok::OrOr) {
-            self.bump();
-            let right = self.parse_and_expression()?;
-            left = Expression::Or(Box::new(left), Box::new(right));
-        }
-        Ok(left)
+        self.chain(
+            |p| p.eat(&Tok::OrOr),
+            Self::parse_and_expression,
+            Expression::Or,
+        )
     }
 
     fn parse_and_expression(&mut self) -> PResult<Expression> {
-        let mut left = self.parse_relational_expression()?;
-        while matches!(self.peek(), Tok::AndAnd) {
-            self.bump();
-            let right = self.parse_relational_expression()?;
-            left = Expression::And(Box::new(left), Box::new(right));
-        }
-        Ok(left)
+        self.chain(
+            |p| p.eat(&Tok::AndAnd),
+            Self::parse_relational_expression,
+            Expression::And,
+        )
     }
 
     fn parse_relational_expression(&mut self) -> PResult<Expression> {
@@ -518,20 +593,23 @@ impl Parser {
 
     fn parse_unary_expression(&mut self) -> PResult<Expression> {
         if matches!(self.peek(), Tok::Bang) {
-            self.bump();
-            let inner = self.parse_unary_expression()?;
-            return Ok(Expression::Not(Box::new(inner)));
+            return self.nested(self.pos, |p| {
+                p.bump();
+                Ok(Expression::Not(Box::new(p.parse_unary_expression()?)))
+            });
         }
         self.parse_primary_expression()
     }
 
     fn parse_primary_expression(&mut self) -> PResult<Expression> {
+        // A parenthesis or a function's arguments open a level here.
+        let at = self.pos;
         match self.bump() {
-            Tok::OpenParen => {
-                let e = self.parse_expression()?;
-                self.expect(&Tok::CloseParen, "`)`")?;
+            Tok::OpenParen => self.nested(at, |p| {
+                let e = p.parse_expression()?;
+                p.expect(&Tok::CloseParen, "`)`")?;
                 Ok(e)
-            }
+            }),
             Tok::Var(v) => Ok(Expression::Var(v)),
             Tok::String(s) => {
                 if matches!(self.peek(), Tok::DoubleCaret) {
@@ -568,76 +646,87 @@ impl Parser {
                 self.expect(&Tok::CloseParen, "`)`")?;
                 Ok(Expression::Bound(v))
             }
-            Tok::Keyword(k) if k == "STR" => {
-                self.expect(&Tok::OpenParen, "`(`")?;
-                let e = self.parse_expression()?;
-                self.expect(&Tok::CloseParen, "`)`")?;
+            Tok::Keyword(k) if k == "STR" => self.nested(at, |p| {
+                p.expect(&Tok::OpenParen, "`(`")?;
+                let e = p.parse_expression()?;
+                p.expect(&Tok::CloseParen, "`)`")?;
                 Ok(Expression::Str(Box::new(e)))
-            }
-            Tok::Keyword(k) if matches!(k.as_str(), "CONTAINS" | "STRSTARTS" | "STRENDS") => {
-                self.expect(&Tok::OpenParen, "`(`")?;
-                let a = self.parse_expression()?;
-                self.expect(&Tok::Comma, "`,`")?;
-                let b = self.parse_expression()?;
-                self.expect(&Tok::CloseParen, "`)`")?;
-                Ok(match k.as_str() {
-                    "CONTAINS" => Expression::Contains(Box::new(a), Box::new(b)),
-                    "STRSTARTS" => Expression::StrStarts(Box::new(a), Box::new(b)),
-                    _ => Expression::StrEnds(Box::new(a), Box::new(b)),
-                })
-            }
+            }),
+            Tok::Keyword(k) if matches!(k.as_str(), "CONTAINS" | "STRSTARTS" | "STRENDS") => self
+                .nested(at, |p| {
+                    p.expect(&Tok::OpenParen, "`(`")?;
+                    let a = p.parse_expression()?;
+                    p.expect(&Tok::Comma, "`,`")?;
+                    let b = p.parse_expression()?;
+                    p.expect(&Tok::CloseParen, "`)`")?;
+                    Ok(match k.as_str() {
+                        "CONTAINS" => Expression::Contains(Box::new(a), Box::new(b)),
+                        "STRSTARTS" => Expression::StrStarts(Box::new(a), Box::new(b)),
+                        _ => Expression::StrEnds(Box::new(a), Box::new(b)),
+                    })
+                }),
             Tok::Keyword(k)
                 if matches!(
                     k.as_str(),
                     "LANG" | "DATATYPE" | "ISIRI" | "ISLITERAL" | "ISBLANK"
                 ) =>
             {
-                self.expect(&Tok::OpenParen, "`(`")?;
-                let e = Box::new(self.parse_expression()?);
-                self.expect(&Tok::CloseParen, "`)`")?;
-                Ok(match k.as_str() {
-                    "LANG" => Expression::Lang(e),
-                    "DATATYPE" => Expression::Datatype(e),
-                    "ISIRI" => Expression::IsIri(e),
-                    "ISLITERAL" => Expression::IsLiteral(e),
-                    _ => Expression::IsBlank(e),
+                self.nested(at, |p| {
+                    p.expect(&Tok::OpenParen, "`(`")?;
+                    let e = Box::new(p.parse_expression()?);
+                    p.expect(&Tok::CloseParen, "`)`")?;
+                    Ok(match k.as_str() {
+                        "LANG" => Expression::Lang(e),
+                        "DATATYPE" => Expression::Datatype(e),
+                        "ISIRI" => Expression::IsIri(e),
+                        "ISLITERAL" => Expression::IsLiteral(e),
+                        _ => Expression::IsBlank(e),
+                    })
                 })
             }
-            Tok::Keyword(k) if k == "REGEX" => {
-                self.expect(&Tok::OpenParen, "`(`")?;
-                let e = self.parse_expression()?;
-                self.expect(&Tok::Comma, "`,`")?;
-                let pattern = match self.bump() {
+            Tok::Keyword(k) if k == "REGEX" => self.nested(at, |p| {
+                p.expect(&Tok::OpenParen, "`(`")?;
+                let e = p.parse_expression()?;
+                p.expect(&Tok::Comma, "`,`")?;
+                let pattern = match p.bump() {
                     Tok::String(s) => s,
-                    other => return self.err(format!("expected pattern string, found {other:?}")),
+                    other => return p.err(format!("expected pattern string, found {other:?}")),
                 };
                 let mut case_insensitive = false;
-                if matches!(self.peek(), Tok::Comma) {
-                    self.bump();
-                    match self.bump() {
+                if matches!(p.peek(), Tok::Comma) {
+                    p.bump();
+                    match p.bump() {
                         Tok::String(f) => case_insensitive = f.contains('i'),
-                        other => {
-                            return self.err(format!("expected flags string, found {other:?}"))
-                        }
+                        other => return p.err(format!("expected flags string, found {other:?}")),
                     }
                 }
-                self.expect(&Tok::CloseParen, "`)`")?;
+                p.expect(&Tok::CloseParen, "`)`")?;
                 Ok(Expression::Regex(Box::new(e), pattern, case_insensitive))
-            }
+            }),
             other => self.err(format!("expected expression, found {other:?}")),
         }
     }
 }
 
-/// Parse a SPARQL query string.
+/// Parse a SPARQL query string. A query that nests deeper than
+/// [`MAX_NESTING`] levels is an error spanning the token that crossed
+/// the limit.
 pub fn parse_query(input: &str) -> Result<Query, QueryParseError> {
+    parse_nested(input).map(|(query, _)| query)
+}
+
+/// [`parse_query`], and the deepest nesting level the query reached.
+fn parse_nested(input: &str) -> Result<(Query, usize), QueryParseError> {
     let toks = tokenize(input)?;
     let mut p = Parser {
         toks,
         pos: 0,
         prefixes: PrefixMap::common(),
+        depth: 0,
+        deepest: 0,
     };
-    p.parse_query()
+    let query = p.parse_query()?;
+    Ok((query, p.deepest))
 }
 
 #[cfg(test)]
@@ -794,5 +883,148 @@ mod tests {
     #[test]
     fn where_keyword_is_optional() {
         assert!(parse_query("SELECT * { ?x ?p ?o }").is_ok());
+    }
+
+    /// A named query shape, built with `n` repetitions.
+    type Shape = (&'static str, fn(usize) -> String);
+
+    /// One query of each deep shape.
+    const DEEP_SHAPES: [Shape; 8] = [
+        ("parentheses", |n| {
+            format!(
+                "SELECT ?o WHERE {{ ?s ?p ?o FILTER({}?o{}) }}",
+                "(".repeat(n),
+                ")".repeat(n)
+            )
+        }),
+        ("|| chain", |n| {
+            let terms = vec!["?o = 1"; n].join(" || ");
+            format!("SELECT ?o WHERE {{ ?s ?p ?o FILTER({terms}) }}")
+        }),
+        ("&& chain", |n| {
+            let terms = vec!["BOUND(?o)"; n].join(" && ");
+            format!("SELECT ?o WHERE {{ ?s ?p ?o FILTER({terms}) }}")
+        }),
+        ("UNION chain", |n| {
+            let arms = vec!["{ ?s ?p ?o }"; n].join(" UNION ");
+            format!("SELECT ?o WHERE {{ {arms} }}")
+        }),
+        ("!", |n| {
+            format!(
+                "SELECT ?o WHERE {{ ?s ?p ?o FILTER({}BOUND(?o)) }}",
+                "!".repeat(n)
+            )
+        }),
+        ("groups", |n| {
+            format!(
+                "SELECT ?o WHERE {}?s ?p ?o{}",
+                "{ ".repeat(n),
+                " }".repeat(n)
+            )
+        }),
+        ("OPTIONALs", |n| {
+            let open = "{ ?s ?p ?o OPTIONAL ".repeat(n);
+            format!("SELECT ?o WHERE {open}{{ ?s ?p ?o }}{}", " }".repeat(n))
+        }),
+        ("STR(", |n| {
+            let call = format!("{}?o{}", "STR(".repeat(n), ")".repeat(n));
+            format!("SELECT ?o WHERE {{ ?s ?p ?o FILTER({call} != \"\") }}")
+        }),
+    ];
+
+    /// The largest `n` whose query `make(n)` parses.
+    fn deepest_accepted(make: fn(usize) -> String) -> usize {
+        let (mut ok, mut refused) = (1, 4 * MAX_NESTING);
+        assert!(parse_query(&make(ok)).is_ok() && parse_query(&make(refused)).is_err());
+        while refused - ok > 1 {
+            let mid = (ok + refused) / 2;
+            match parse_query(&make(mid)) {
+                Ok(_) => ok = mid,
+                Err(_) => refused = mid,
+            }
+        }
+        ok
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_a_spanned_error() {
+        for (shape, make) in DEEP_SHAPES {
+            let n = deepest_accepted(make);
+            let (_, depth) = parse_nested(&make(n)).unwrap();
+            assert!(depth <= MAX_NESTING, "{shape}: depth {depth}");
+            assert!(
+                depth + 2 >= MAX_NESTING,
+                "{shape}: refused at depth {depth}"
+            );
+            let e = parse_query(&make(n + 1)).unwrap_err();
+            assert!(
+                e.message.contains("nests deeper than 128 levels"),
+                "{shape}: {e}"
+            );
+            assert_eq!(e.line, 1, "{shape}: {e}");
+            assert!(e.end_column > e.column, "{shape}: {e}");
+        }
+        // The error spans the token that crossed the limit: here the
+        // `(` that opens level 129.
+        let text = DEEP_SHAPES[0].1(MAX_NESTING);
+        let e = parse_query(&text).unwrap_err();
+        let column = "SELECT ?o WHERE { ?s ?p ?o FILTER(".len() + MAX_NESTING - 1;
+        assert_eq!((e.column, e.end_column), (column, column + 1), "{e}");
+        // A chain is refused at the link that makes it too tall.
+        let e = parse_query(&DEEP_SHAPES[1].1(MAX_NESTING + 10)).unwrap_err();
+        assert_eq!(&text_at(&DEEP_SHAPES[1].1(MAX_NESTING + 10), &e), "||");
+    }
+
+    /// The text an error spans, on a one-line query.
+    fn text_at(text: &str, e: &QueryParseError) -> String {
+        text[e.column - 1..e.end_column - 1].to_owned()
+    }
+
+    /// The deepest accepted query of each shape parses, prepares, runs
+    /// and drops on a thread with a 2 MiB stack, the size of a spawned
+    /// thread's default stack (and so of a `serve` worker's).
+    #[test]
+    fn deepest_accepted_queries_run_on_a_2_mib_stack() {
+        let (graph, _) = provbench_rdf::parse_turtle(
+            "<http://e/a> <http://e/p> 1 . <http://e/b> <http://e/q> \"x\" .",
+        )
+        .unwrap();
+        for (shape, make) in DEEP_SHAPES {
+            let text = make(deepest_accepted(make));
+            let rows = std::thread::scope(|scope| {
+                std::thread::Builder::new()
+                    .stack_size(2 << 20)
+                    .spawn_scoped(scope, || {
+                        let engine = crate::QueryEngine::new(&graph);
+                        let prepared = engine.prepare(&text).unwrap();
+                        let rows = prepared.rows().unwrap().map(Result::unwrap).count();
+                        drop(prepared);
+                        rows
+                    })
+                    .unwrap()
+                    .join()
+            });
+            assert!(rows.is_ok(), "{shape} overflowed or panicked");
+        }
+    }
+
+    #[test]
+    fn exemplar_queries_sit_far_below_the_nesting_limit() {
+        use crate::exemplar::*;
+        let run = provbench_rdf::Iri::new_unchecked("http://e/run");
+        let texts = [
+            q1_sparql(),
+            q2_runs_sparql("t"),
+            q2_failed_sparql("t"),
+            q3_inputs_sparql("t"),
+            q3_outputs_sparql("t"),
+            q4_sparql(&run),
+            q5_sparql(&run),
+            q6_sparql(&run),
+        ];
+        for text in texts {
+            let (_, depth) = parse_nested(&format!("{PREFIXES}\n{text}")).unwrap();
+            assert!(depth <= 5, "depth {depth}: {text}");
+        }
     }
 }

@@ -1,12 +1,16 @@
-//! Process-level graceful-shutdown suite: a served endpoint, killed
-//! with SIGTERM mid-work, drains in-flight requests and exits 0.
+//! Process-level suite for `provbench serve`: a served endpoint, killed
+//! with SIGTERM mid-work, drains in-flight requests and exits 0; an
+//! idle one does not wake; and no request, however deeply it nests,
+//! aborts it.
 //!
 //! The in-process drain mechanics (draining visible on `/readyz`,
 //! drain-duration histogram, worker join) are unit-tested in
 //! `provbench-endpoint`; this suite proves the wiring end to end
 //! through the real binary: signal handler installation, the
 //! bind-first `listening on …` line, `--drain-ms`, the retrying
-//! `--endpoint` client, and the process exit code.
+//! `--endpoint` client, and the process exit code. A stack overflow
+//! aborts the whole process, so only the real binary can show that a
+//! deep query does not overflow one.
 
 use provbench::corpus::{store, Corpus, CorpusSpec};
 use provbench::endpoint::{Client, ClientConfig};
@@ -77,16 +81,21 @@ fn spawn_server(dir: &Path, drain_ms: u64) -> (Child, String, std::sync::mpsc::R
     (child, addr, rx)
 }
 
-/// Poll `/readyz` until the background corpus load lands.
-fn await_ready(addr: &str) {
-    let client = Client::with_config(
+/// A client that makes one attempt per request.
+fn client(addr: &str) -> Client {
+    Client::with_config(
         &format!("http://{addr}"),
         ClientConfig {
             max_attempts: 1,
             ..ClientConfig::default()
         },
     )
-    .unwrap();
+    .unwrap()
+}
+
+/// Poll `/readyz` until the background corpus load lands.
+fn await_ready(addr: &str) {
+    let client = client(addr);
     let deadline = Instant::now() + Duration::from_secs(120);
     loop {
         if let Ok(r) = client.get("/readyz") {
@@ -214,5 +223,105 @@ fn sigterm_when_idle_exits_promptly() {
         "idle shutdown took {:?}",
         sent.elapsed()
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Context switches (voluntary plus nonvoluntary, summed over every
+/// thread) and CPU ticks (user plus system) the process has used.
+#[cfg(target_os = "linux")]
+fn switches_and_ticks(pid: u32) -> (u64, u64) {
+    let mut switches = 0;
+    for task in std::fs::read_dir(format!("/proc/{pid}/task")).unwrap() {
+        let status = std::fs::read_to_string(task.unwrap().path().join("status"));
+        for line in status.unwrap_or_default().lines() {
+            if let Some((key, value)) = line.split_once(':') {
+                if key.ends_with("voluntary_ctxt_switches") {
+                    switches += value.trim().parse::<u64>().unwrap();
+                }
+            }
+        }
+    }
+    let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).unwrap();
+    // Fields after the parenthesized command name: state is the first,
+    // utime and stime the 12th and 13th.
+    let fields: Vec<&str> = stat
+        .rsplit_once(')')
+        .unwrap()
+        .1
+        .split_whitespace()
+        .collect();
+    let ticks = fields[11].parse::<u64>().unwrap() + fields[12].parse::<u64>().unwrap();
+    (switches, ticks)
+}
+
+/// An idle server sleeps: every thread blocks (in `accept`, on the
+/// worker queue, on the shutdown signal), and only the corpus watcher
+/// wakes, once every 2 s.
+#[cfg(target_os = "linux")]
+#[test]
+fn idle_server_does_not_wake() {
+    let dir = tmpdir("quiet");
+    write_corpus(&dir);
+    let (mut child, addr, _stderr) = spawn_server(&dir, 30_000);
+    await_ready(&addr);
+
+    let (switches, ticks) = switches_and_ticks(child.id());
+    std::thread::sleep(Duration::from_secs(2));
+    let (switches_after, ticks_after) = switches_and_ticks(child.id());
+    let _ = child.kill();
+    let _ = child.wait();
+    let _ = std::fs::remove_dir_all(&dir);
+    let (switched, ticked) = (switches_after - switches, ticks_after - ticks);
+    assert!(
+        switched < 20,
+        "{switched} context switches in 2 idle seconds"
+    );
+    assert!(ticked < 10, "{ticked} CPU ticks in 2 idle seconds");
+}
+
+/// Queries that nest far past the parser's limit are each refused with
+/// a spanned 400; none overflows a worker's stack, which would abort
+/// the process.
+#[test]
+fn deep_queries_get_a_spanned_400_and_the_server_lives() {
+    let dir = tmpdir("deep");
+    write_corpus(&dir);
+    let (mut child, addr, _stderr) = spawn_server(&dir, 30_000);
+    await_ready(&addr);
+
+    let parens = format!(
+        "SELECT ?o WHERE {{ ?s ?p ?o FILTER({}?o{}) }}",
+        "(".repeat(2000),
+        ")".repeat(2000)
+    );
+    let disjuncts = vec!["?o = 1"; 20_000].join(" || ");
+    let disjunction = format!("SELECT ?o WHERE {{ ?s ?p ?o FILTER({disjuncts}) }}");
+    let arms = vec!["{?s ?p ?o}"; 20_000].join(" UNION ");
+    let union = format!("SELECT ?o WHERE {{ {arms} }}");
+    let client = client(&addr);
+    for (shape, query) in [
+        ("2,000 parentheses", &parens),
+        ("20,000 || terms", &disjunction),
+        ("20,000 UNION arms", &union),
+    ] {
+        let response = client
+            .post("/sparql", "application/sparql-query", query)
+            .unwrap_or_else(|e| panic!("{shape}: no response ({e})"));
+        let body = response.text();
+        assert_eq!(response.status, 400, "{shape}: {body}");
+        assert!(body.contains("\"error\":\"parse\""), "{shape}: {body}");
+        assert!(body.contains("nests deeper than"), "{shape}: {body}");
+        assert!(body.contains("\"line\":1,\"column\":"), "{shape}: {body}");
+    }
+
+    let healthz = client.get("/healthz").unwrap();
+    assert_eq!(healthz.status, 200);
+    let metrics = client.get("/metrics").unwrap().text();
+    assert!(
+        metrics.lines().any(|l| l == "provbench_panics_total 0"),
+        "{metrics}"
+    );
+    let _ = child.kill();
+    let _ = child.wait();
     let _ = std::fs::remove_dir_all(&dir);
 }
