@@ -12,6 +12,7 @@
 //! * [`store`] — the on-disk layout (save/load round-trip);
 //! * [`manifest`] — the per-file source records the snapshot, the lint
 //!   cache and the `serve` watcher decide staleness with;
+//! * [`checksum`] — XXH64, the hash of sealed files and source records;
 //! * [`stats`] — Table 1 / Figure 1 statistics.
 //!
 //! ## Example
@@ -26,6 +27,7 @@
 //! assert_eq!(corpus.traces.iter().filter(|t| t.failed()).count(), 2);
 //! ```
 
+pub mod checksum;
 pub mod fsio;
 pub mod generate;
 pub mod ingest;

@@ -1,6 +1,6 @@
 //! The source manifest: one record per source file — its path, its
-//! stat (size, `mtime_ns`, `ctime_ns`) and the FNV-1a hash of its
-//! bytes, as RO-Crate records a workflow run's files — and the one
+//! stat (size, `mtime_ns`, `ctime_ns`) and the XXH64 hash of its
+//! bytes ([`crate::checksum`]), as RO-Crate records a workflow run's files — and the one
 //! check that decides whether a file changed since it was recorded.
 //!
 //! The snapshot and the lint cache each persist a manifest, and the
@@ -13,8 +13,8 @@
 //! never recorded, so it is read again next time; a file read whole is,
 //! even when its bytes are not UTF-8.
 
+use crate::checksum::xxh64;
 use crate::fsio::{FileStat, StoreFs};
-use provbench_workflow::execution::fnv1a;
 use std::borrow::Cow;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -36,7 +36,7 @@ impl SourceFile {
         SourceRecord {
             path: self.rel.clone(),
             stat: self.stat.unwrap_or_default(),
-            hash: fnv1a(bytes),
+            hash: xxh64(bytes),
         }
     }
 }

@@ -6,10 +6,10 @@
 //! corpus root) that memory-loads without touching a parser:
 //!
 //! ```text
-//! header   magic "PBSNAP" (6) | version u16 LE | fnv1a-64(body) u64 LE
+//! header   magic "PBSNAP" (6) | version u16 LE | xxh64(body) u64 LE
 //! body     source file count, source byte count        (varints)
 //!          source manifest: rel path, size, mtime,
-//!                  ctime, fnv1a-64 of the bytes        (per source file)
+//!                  ctime, xxh64 of the bytes           (per source file)
 //!          global term table, sorted                   (tagged terms)
 //!          descriptions: system, template, slab        (per workflow)
 //!          traces: run id, system, template,
@@ -21,24 +21,29 @@
 //! `Term`'s, IRIs then blank nodes then literals, each by its string.
 //! Slabs hold id-triples over it, sorted and delta-compressed (see
 //! [`provbench_rdf::codec`]). On load the union keeps the table's ids,
-//! and each per-run graph compacts the ids it uses into a dense local
-//! table — an `Arc` clone per term, no string parsing. Every decode
-//! path validates: a bad magic, unknown version, checksum mismatch,
-//! malformed term, table out of canonical order, out-of-range id or
-//! stats disagreement yields [`SnapshotError`] and the caller falls back
-//! to a clean rebuild from the RDF sources — never a panic, never
-//! silently wrong data.
+//! and, being sorted, the table is the union's own index: a lookup
+//! bisects it. A warm open builds only the union. Each description and
+//! trace keeps its slabs, and builds its graph the first time it is
+//! asked for, compacting the ids it uses into a local table — an `Arc`
+//! clone per term, no string parsing. Every decode path validates: a bad
+//! magic, unknown version, checksum mismatch, malformed term, table out
+//! of canonical order, out-of-range id, misplaced term kind, bad or
+//! duplicate graph name, or stats disagreement yields [`SnapshotError`]
+//! and the caller falls back to a clean rebuild from the RDF sources —
+//! never a panic, never silently wrong data. The union's build checks
+//! every slab's ids, so a deferred build cannot fail.
 
+use crate::checksum::xxh64;
 use crate::fsio::FileStat;
 use crate::manifest::SourceRecord;
-use crate::store::{LoadedCorpus, LoadedDescription, LoadedTrace};
+use crate::store::{Deferred, LoadedCorpus, LoadedDescription, LoadedTrace};
 use provbench_rdf::codec::{
     read_slab, read_term_table, write_slab, write_string, write_term_table, Reader,
 };
 use provbench_rdf::{Dataset, Graph, GraphName, Term, TermId};
-use provbench_workflow::execution::fnv1a;
 use provbench_workflow::System;
 use std::fmt;
+use std::sync::Arc;
 
 /// Snapshot file name, stored at the corpus directory root.
 pub const SNAPSHOT_FILE: &str = "corpus.snapshot";
@@ -54,8 +59,10 @@ pub const MAGIC: [u8; 6] = *b"PBSNAP";
 /// name exactly which files changed; v3 records each file's mtime,
 /// ctime and content hash too (see [`crate::manifest`]), so a same-size
 /// edit is caught; v4 sorts the term table into canonical order, the
-/// served graph's numbering, which [`decode`] checks.
-pub const VERSION: u16 = 4;
+/// served graph's numbering, which [`decode`] checks; v5 checksums the
+/// body, and hashes each source, with XXH64 ([`crate::checksum`])
+/// instead of FNV-1a.
+pub const VERSION: u16 = 5;
 
 /// Fixed header length: magic + version + checksum.
 pub const HEADER_LEN: usize = 6 + 2 + 8;
@@ -219,59 +226,74 @@ fn union_graph(table: Vec<Term>, mut triples: Slab) -> Result<Graph, SnapshotErr
 /// [`served_graph`] of a loaded corpus.
 pub(crate) fn served(corpus: &LoadedCorpus) -> (Graph, Slabs) {
     served_graph(
-        corpus.descriptions.iter().map(|d| &d.graph),
-        corpus.traces.iter().map(|t| &t.dataset),
+        corpus.descriptions.iter().map(|d| d.graph()),
+        corpus.traces.iter().map(|t| t.dataset()),
     )
 }
 
-/// Reusable global→local id scratch table: one slot per global term,
-/// generation-stamped so clearing between graphs is O(1) instead of a
-/// re-allocation or a hash map per slab.
-struct Compactor {
-    slots: Vec<(u32, u32)>,
-    generation: u32,
+/// One description's or trace's graphs as [`decode`] read them: the
+/// default graph's slab, then each named graph's with its name's id, over
+/// the snapshot's term table. `decode` checked every id, every term's
+/// position and every name, so building them cannot fail.
+#[derive(Clone)]
+pub(crate) struct RunSlabs {
+    table: Arc<[Term]>,
+    graphs: Slabs,
 }
 
-impl Compactor {
-    fn new(table_len: usize) -> Self {
-        Compactor {
-            slots: vec![(0, 0); table_len],
-            generation: 0,
-        }
+impl fmt::Debug for RunSlabs {
+    /// Each slab's size, not the term table that every run shares.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let sizes: Vec<usize> = self.graphs.iter().map(|(_, slab)| slab.len()).collect();
+        f.debug_struct("RunSlabs")
+            .field("slab_sizes", &sizes)
+            .finish_non_exhaustive()
     }
 }
 
-/// Rebuild a graph from a global-id slab: compact the global ids it uses
-/// into a dense local table (first-seen order), then hand off to the
-/// validating [`Graph::from_interned`].
-fn graph_from_slab(
-    terms: &[Term],
-    slab: &[(u32, u32, u32)],
-    scratch: &mut Compactor,
-) -> Result<Graph, SnapshotError> {
-    scratch.generation += 1;
-    let generation = scratch.generation;
-    let mut local_terms: Vec<Term> = Vec::new();
-    let mut local_triples = Vec::with_capacity(slab.len());
-    {
-        let mut local = |gid: u32| -> Result<u32, SnapshotError> {
-            let slot = scratch
-                .slots
-                .get_mut(gid as usize)
-                .ok_or_else(|| corrupt(format!("term id {gid} beyond table")))?;
-            if slot.0 == generation {
-                return Ok(slot.1);
+impl RunSlabs {
+    /// The graph of `slab`: the ids it uses, in table order, become its
+    /// own table, still strictly increasing, so the graph bisects it too.
+    fn graph(&self, slab: &Slab) -> Graph {
+        let mut used: Vec<u32> = slab.iter().flat_map(|&(s, p, o)| [s, p, o]).collect();
+        used.sort_unstable();
+        used.dedup();
+        let local = |id: u32| used.binary_search(&id).expect("a used id") as u32;
+        let triples = slab.iter().map(|&(s, p, o)| (local(s), local(p), local(o)));
+        let terms = used.iter().map(|&id| self.table[id as usize].clone());
+        Graph::from_interned(terms.collect(), triples).expect("decode checked every slab")
+    }
+
+    /// A description's graph.
+    pub(crate) fn description(&self) -> Graph {
+        self.graph(&self.graphs[0].1)
+    }
+
+    /// A trace's dataset.
+    pub(crate) fn dataset(&self) -> Dataset {
+        let mut dataset = Dataset::new();
+        for (name, slab) in &self.graphs {
+            let graph = self.graph(slab);
+            match name {
+                None => *dataset.default_graph_mut() = graph,
+                Some(id) => {
+                    let name = graph_name(&self.table, *id).expect("decode checked every name");
+                    *dataset.named_graph_mut(name) = graph;
+                }
             }
-            let l = u32::try_from(local_terms.len()).expect("local table overflow");
-            local_terms.push(terms[gid as usize].clone());
-            *slot = (generation, l);
-            Ok(l)
-        };
-        for &(s, p, o) in slab {
-            local_triples.push((local(s)?, local(p)?, local(o)?));
         }
+        dataset
     }
-    Graph::from_interned(local_terms, local_triples).map_err(|e| corrupt(e.to_string()))
+}
+
+/// The graph name that table entry `id` gives: an IRI or a blank node.
+fn graph_name(terms: &[Term], id: u32) -> Result<GraphName, SnapshotError> {
+    match terms.get(id as usize) {
+        Some(Term::Iri(i)) => Ok(i.clone().into()),
+        Some(Term::Blank(b)) => Ok(b.clone().into()),
+        Some(Term::Literal(_)) => Err(corrupt(format!("literal graph name (id {id})"))),
+        None => Err(corrupt(format!("graph name id {id} beyond table"))),
+    }
 }
 
 /// Serialize a corpus into a complete snapshot file (header + body).
@@ -326,7 +348,7 @@ pub(crate) fn encode_served(
             body.push(system_tag(t.system));
             write_string(body, &t.template_name);
             write_next(body);
-            let named = t.dataset.named_graphs().count();
+            let named = t.dataset().named_graphs().count();
             provbench_rdf::codec::write_varint(body, named as u64);
             for _ in 0..named {
                 write_next(body);
@@ -347,7 +369,7 @@ pub(crate) fn encode_served(
     })
 }
 
-/// A sealed file: `magic | version u16 LE | fnv1a-64(body) u64 LE`, then
+/// A sealed file: `magic | version u16 LE | xxh64(body) u64 LE`, then
 /// the body `write_body` appends. The body is written in place after
 /// the header, never copied.
 pub fn seal(magic: [u8; 6], version: u16, write_body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
@@ -356,7 +378,7 @@ pub fn seal(magic: [u8; 6], version: u16, write_body: impl FnOnce(&mut Vec<u8>))
     out.extend_from_slice(&version.to_le_bytes());
     out.extend_from_slice(&[0; 8]);
     write_body(&mut out);
-    let checksum = fnv1a(&out[HEADER_LEN..]);
+    let checksum = xxh64(&out[HEADER_LEN..]);
     out[8..HEADER_LEN].copy_from_slice(&checksum.to_le_bytes());
     out
 }
@@ -376,7 +398,7 @@ pub fn unseal(bytes: &[u8], magic: [u8; 6], version: u16) -> Result<&[u8], Snaps
     }
     let checksum = u64::from_le_bytes(bytes[8..HEADER_LEN].try_into().expect("8 bytes"));
     let body = &bytes[HEADER_LEN..];
-    if fnv1a(body) != checksum {
+    if xxh64(body) != checksum {
         return Err(SnapshotError::Checksum);
     }
     Ok(body)
@@ -418,7 +440,11 @@ fn read_byte(r: &mut Reader<'_>) -> Result<u8, SnapshotError> {
     u8::try_from(v).map_err(|_| corrupt(format!("tag value {v} exceeds one byte")))
 }
 
-/// Decode and fully validate a snapshot file.
+/// Decode and fully validate a snapshot file. Only the union is built:
+/// each description and trace keeps its slabs, and builds its graph on
+/// first use. Every check a build would make runs here — the union sees
+/// every slab's ids against the table, and each graph name is checked —
+/// so a deferred build cannot fail.
 pub fn decode(bytes: &[u8]) -> Result<DecodedSnapshot, SnapshotError> {
     let body = unseal(bytes, MAGIC, VERSION)?;
     let c = |e: provbench_rdf::RdfError| corrupt(e.to_string());
@@ -434,23 +460,30 @@ pub fn decode(bytes: &[u8]) -> Result<DecodedSnapshot, SnapshotError> {
             i + 1
         )));
     }
+    let table: Arc<[Term]> = terms.as_slice().into();
 
     let mut corpus = LoadedCorpus::default();
     // Every slab's triples, for the union.
     let mut union_slab: Slab = Vec::new();
-    let mut scratch = Compactor::new(terms.len());
+    let mut read_graph = |r: &mut Reader<'_>| {
+        let slab = read_slab(r).map_err(c)?;
+        union_slab.extend_from_slice(&slab);
+        Ok::<_, SnapshotError>(slab)
+    };
+    let slabs = |graphs| RunSlabs {
+        table: Arc::clone(&table),
+        graphs,
+    };
 
     let description_count = r.read_varint().map_err(c)? as usize;
     for _ in 0..description_count {
         let system = system_from_tag(read_byte(&mut r)?)?;
         let template_name = r.read_string().map_err(c)?;
-        let slab = read_slab(&mut r).map_err(c)?;
-        let graph = graph_from_slab(&terms, &slab, &mut scratch)?;
-        union_slab.extend_from_slice(&slab);
+        let graphs = vec![(None, read_graph(&mut r)?)];
         corpus.descriptions.push(LoadedDescription {
             system,
             template_name,
-            graph,
+            graph: Deferred::from_slabs(slabs(graphs)),
         });
     }
 
@@ -459,34 +492,21 @@ pub fn decode(bytes: &[u8]) -> Result<DecodedSnapshot, SnapshotError> {
         let run_id = r.read_string().map_err(c)?;
         let system = system_from_tag(read_byte(&mut r)?)?;
         let template_name = r.read_string().map_err(c)?;
-        let default_slab = read_slab(&mut r).map_err(c)?;
-        let mut dataset = Dataset::new();
-        *dataset.default_graph_mut() = graph_from_slab(&terms, &default_slab, &mut scratch)?;
-        union_slab.extend_from_slice(&default_slab);
+        let mut graphs = vec![(None, read_graph(&mut r)?)];
         let named_count = r.read_varint().map_err(c)? as usize;
         for _ in 0..named_count {
             let name_id = r.read_u32().map_err(c)?;
-            let name: GraphName = match terms.get(name_id as usize) {
-                Some(Term::Iri(i)) => i.clone().into(),
-                Some(Term::Blank(b)) => b.clone().into(),
-                Some(Term::Literal(_)) => {
-                    return Err(corrupt(format!("literal graph name (id {name_id})")))
-                }
-                None => return Err(corrupt(format!("graph name id {name_id} beyond table"))),
-            };
-            let slab = read_slab(&mut r).map_err(c)?;
-            let graph = graph_from_slab(&terms, &slab, &mut scratch)?;
-            union_slab.extend_from_slice(&slab);
-            if dataset.named_graph(&name).is_some() {
+            let name = graph_name(&terms, name_id)?;
+            if graphs.iter().any(|(n, _)| *n == Some(name_id)) {
                 return Err(corrupt(format!("duplicate named graph {name:?}")));
             }
-            *dataset.named_graph_mut(name) = graph;
+            graphs.push((Some(name_id), read_graph(&mut r)?));
         }
         corpus.traces.push(LoadedTrace {
             run_id,
             system,
             template_name,
-            dataset,
+            dataset: Deferred::from_slabs(slabs(graphs)),
         });
     }
 
@@ -558,8 +578,9 @@ pub const LINT_SNAPSHOT_FILE: &str = "corpus.lint.snapshot";
 pub const LINT_MAGIC: [u8; 6] = *b"PBLINT";
 
 /// Current lint snapshot format version. v2 replaced each entry's
-/// content hash with a source manifest (see [`crate::manifest`]).
-pub const LINT_VERSION: u16 = 2;
+/// content hash with a source manifest (see [`crate::manifest`]); v3
+/// seals and hashes with XXH64, as snapshot v5 does.
+pub const LINT_VERSION: u16 = 3;
 
 #[cfg(test)]
 mod tests {
@@ -583,20 +604,14 @@ mod tests {
                 .templates
                 .iter()
                 .zip(&corpus.descriptions)
-                .map(|((system, t), g)| LoadedDescription {
-                    system: *system,
-                    template_name: t.name.clone(),
-                    graph: g.clone(),
-                })
+                .map(|((system, t), g)| LoadedDescription::new(*system, t.name.clone(), g.clone()))
                 .collect(),
             traces: corpus
                 .traces
                 .iter()
-                .map(|t| LoadedTrace {
-                    run_id: t.run_id.clone(),
-                    system: t.system,
-                    template_name: t.template_name.clone(),
-                    dataset: t.dataset.clone(),
+                .map(|t| {
+                    let (run_id, template) = (t.run_id.clone(), t.template_name.clone());
+                    LoadedTrace::new(run_id, t.system, template, t.dataset.clone())
                 })
                 .collect(),
         }
@@ -614,13 +629,13 @@ mod tests {
         for (a, b) in corpus.descriptions.iter().zip(&decoded.corpus.descriptions) {
             assert_eq!(a.system, b.system);
             assert_eq!(a.template_name, b.template_name);
-            assert_eq!(a.graph, b.graph);
+            assert_eq!(a.graph(), b.graph());
         }
         for (a, b) in corpus.traces.iter().zip(&decoded.corpus.traces) {
             assert_eq!(a.run_id, b.run_id);
             assert_eq!(a.system, b.system);
             assert_eq!(a.template_name, b.template_name);
-            assert_eq!(a.dataset, b.dataset);
+            assert_eq!(a.dataset(), b.dataset());
         }
         assert_eq!(decoded.union, corpus.combined_dataset().union_graph());
         let table = decoded.union.interned_terms();
@@ -690,7 +705,7 @@ mod tests {
         let last = body.len() - 1;
         body[last] = body[last].wrapping_add(1);
         let mut resealed = bytes[..8].to_vec();
-        resealed.extend_from_slice(&fnv1a(&body).to_le_bytes());
+        resealed.extend_from_slice(&xxh64(&body).to_le_bytes());
         resealed.extend_from_slice(&body);
         assert!(matches!(
             decode(&resealed).unwrap_err(),
@@ -709,11 +724,7 @@ mod tests {
             Literal::simple("x"),
         ));
         let corpus = LoadedCorpus {
-            descriptions: vec![LoadedDescription {
-                system: System::Taverna,
-                template_name: "t".into(),
-                graph: g,
-            }],
+            descriptions: vec![LoadedDescription::new(System::Taverna, "t".into(), g)],
             traces: vec![],
         };
         let bytes = encode(&corpus, 0, 0, &[]);
@@ -727,12 +738,118 @@ mod tests {
         assert_eq!(body[last], 1);
         body[last] = 2;
         let mut resealed = bytes[..8].to_vec();
-        resealed.extend_from_slice(&fnv1a(&body).to_le_bytes());
+        resealed.extend_from_slice(&xxh64(&body).to_le_bytes());
         resealed.extend_from_slice(&body);
         let err = decode(&resealed).unwrap_err();
         assert!(
             matches!(err, SnapshotError::Corrupt(ref m) if m.contains("stats")),
             "{err}"
+        );
+    }
+
+    /// A sealed snapshot of one description and one Wings trace over
+    /// `table`, with the stats its slabs give: the description's slab,
+    /// then the trace's empty default graph and its `named` graphs.
+    fn hand_built(table: &[Term], description: Slab, named: &[(u32, Slab)]) -> Vec<u8> {
+        use provbench_rdf::codec::write_varint;
+        let mut union: Slab = named.iter().flat_map(|(_, s)| s.clone()).collect();
+        union.extend_from_slice(&description);
+        union.sort_unstable();
+        union.dedup();
+        let mut counts = std::collections::BTreeMap::new();
+        for &(_, p, _) in &union {
+            *counts.entry(p).or_insert(0u64) += 1;
+        }
+        seal(MAGIC, VERSION, |body| {
+            write_varint(body, 0);
+            write_varint(body, 0);
+            write_manifest(body, &[]);
+            write_term_table(body, table);
+            write_varint(body, 1);
+            body.push(system_tag(System::Taverna));
+            write_string(body, "t");
+            write_slab(body, &description);
+            write_varint(body, 1);
+            write_string(body, "run");
+            body.push(system_tag(System::Wings));
+            write_string(body, "t");
+            write_slab(body, &[]);
+            write_varint(body, named.len() as u64);
+            for (name, slab) in named {
+                write_varint(body, u64::from(*name));
+                write_slab(body, slab);
+            }
+            write_varint(body, counts.len() as u64);
+            for (p, n) in counts {
+                write_varint(body, u64::from(p));
+                write_varint(body, n);
+            }
+        })
+    }
+
+    /// A per-run slab that no graph could hold is refused by `decode`
+    /// itself, so a graph built on first use never fails.
+    #[test]
+    fn tampered_run_slabs_fail_decode_not_first_use() {
+        let iri = |s: &str| Term::Iri(Iri::new(format!("http://e/{s}")).unwrap());
+        // Canonical: g = 0, p = 1, s = 2, "x" = 3.
+        let table = [iri("g"), iri("p"), iri("s"), Literal::simple("x").into()];
+        let ok = hand_built(&table, vec![(2, 1, 3)], &[(0, vec![(2, 1, 0)])]);
+        let decoded = decode(&ok).unwrap();
+        assert_eq!(decoded.corpus.descriptions[0].graph().len(), 1);
+        let dataset = decoded.corpus.traces[0].dataset();
+        assert_eq!(dataset.named_graphs().count(), 1);
+        assert_eq!(dataset.len(), 1);
+        for (bytes, why) in [
+            (hand_built(&table, vec![(2, 1, 9)], &[]), "beyond"),
+            (
+                hand_built(&table, vec![], &[(0, vec![(3, 1, 2)])]),
+                "literal in subject",
+            ),
+            (hand_built(&table, vec![(2, 3, 0)], &[]), "non-IRI"),
+            (
+                hand_built(&table, vec![], &[(3, vec![(2, 1, 0)])]),
+                "literal graph name",
+            ),
+            (
+                hand_built(&table, vec![], &[(0, vec![(2, 1, 0)]), (0, vec![])]),
+                "duplicate named graph",
+            ),
+        ] {
+            match decode(&bytes) {
+                Err(SnapshotError::Corrupt(m)) => assert!(m.contains(why), "{why}: {m}"),
+                other => panic!("{why}: {other:?}"),
+            }
+        }
+    }
+
+    /// The served graph's table is its own index: every lookup, of a
+    /// term it holds or of one it does not, answers as a hash map over
+    /// the same table does.
+    #[test]
+    fn served_graph_lookups_agree_with_a_hash_map() {
+        let graph = crate::Corpus::generate(&CorpusSpec::default()).combined_graph();
+        let table = graph.interned_terms();
+        let map: std::collections::HashMap<&Term, TermId> =
+            table.iter().zip((0..).map(TermId::from_u32)).collect();
+        assert_eq!(map.len(), table.len());
+        let absent = |t: &Term| -> Term {
+            match t {
+                Term::Iri(i) => Iri::new(format!("{}~", i.as_str())).unwrap().into(),
+                Term::Blank(b) => provbench_rdf::BlankNode::new(format!("{}x", b.label()))
+                    .unwrap()
+                    .into(),
+                Term::Literal(l) => Literal::simple(format!("{}~", l.lexical())).into(),
+            }
+        };
+        for term in table {
+            assert_eq!(graph.term_to_id(term), map.get(term).copied());
+            let other = absent(term);
+            assert_eq!(graph.term_to_id(&other), map.get(&other).copied());
+        }
+        assert_eq!(
+            graph.term_to_id(&Literal::simple("not in the corpus").into()),
+            None
         );
     }
 
@@ -742,13 +859,14 @@ mod tests {
         let turtle_bytes: usize = corpus
             .descriptions
             .iter()
-            .map(|d| store::serialize_description(&d.graph).len())
+            .map(|d| store::serialize_description(d.graph()).len())
             .sum::<usize>()
             + corpus
                 .traces
                 .iter()
                 .map(|t| {
-                    provbench_rdf::write_trig(&t.dataset, &provbench_rdf::PrefixMap::common()).len()
+                    provbench_rdf::write_trig(t.dataset(), &provbench_rdf::PrefixMap::common())
+                        .len()
                 })
                 .sum::<usize>();
         let snapshot_bytes = encode(&corpus, 0, 0, &[]).len();

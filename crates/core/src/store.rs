@@ -6,7 +6,7 @@ use crate::fsio::{StoreFs, REAL_FS};
 use crate::generate::{Corpus, TraceRecord};
 use crate::ingest::{IngestError, IngestReport, INGEST_REPORT_FILE};
 use crate::manifest::{self, Manifest, SourceFile, SourceRecord};
-use crate::snapshot::{self, SNAPSHOT_FILE, VERSION};
+use crate::snapshot::{self, RunSlabs, SNAPSHOT_FILE, VERSION};
 use provbench_obs::{Registry, LATENCY_BUCKETS};
 use provbench_rdf::{
     parse_trig, parse_turtle, write_trig, write_turtle, Dataset, Graph, ParseError, PrefixMap,
@@ -15,7 +15,7 @@ use provbench_workflow::System;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Counter of source files parsed (`result="loaded"|"quarantined"`).
@@ -151,8 +151,25 @@ pub struct LoadedTrace {
     pub system: System,
     /// Template name (from the directory layout).
     pub template_name: String,
-    /// The parsed dataset.
-    pub dataset: Dataset,
+    pub(crate) dataset: Deferred<Dataset>,
+}
+
+impl LoadedTrace {
+    /// A trace with its parsed dataset.
+    pub fn new(run_id: String, system: System, template_name: String, dataset: Dataset) -> Self {
+        LoadedTrace {
+            run_id,
+            system,
+            template_name,
+            dataset: Deferred::built(dataset),
+        }
+    }
+
+    /// The parsed dataset. A warm open builds it here, the first time
+    /// it is asked for.
+    pub fn dataset(&self) -> &Dataset {
+        self.dataset.get(RunSlabs::dataset)
+    }
 }
 
 /// One workflow-description graph loaded back from disk.
@@ -162,8 +179,56 @@ pub struct LoadedDescription {
     pub system: System,
     /// Template name (from the directory layout).
     pub template_name: String,
-    /// The parsed description graph.
-    pub graph: Graph,
+    pub(crate) graph: Deferred<Graph>,
+}
+
+impl LoadedDescription {
+    /// A description with its parsed graph.
+    pub fn new(system: System, template_name: String, graph: Graph) -> Self {
+        LoadedDescription {
+            system,
+            template_name,
+            graph: Deferred::built(graph),
+        }
+    }
+
+    /// The parsed description graph. A warm open builds it here, the
+    /// first time it is asked for.
+    pub fn graph(&self) -> &Graph {
+        self.graph.get(RunSlabs::description)
+    }
+}
+
+/// A per-run graph or dataset: parsed by a cold open, or built from its
+/// snapshot slabs the first time it is asked for. `serve` and `query`
+/// serve only the union, so a warm open builds none of these; `validate`
+/// builds each. [`snapshot::decode`] checked every slab, so the build
+/// cannot fail.
+#[derive(Clone, Debug)]
+pub(crate) struct Deferred<T> {
+    built: OnceLock<T>,
+    slabs: Option<RunSlabs>,
+}
+
+impl<T> Deferred<T> {
+    fn built(value: T) -> Self {
+        Deferred {
+            built: OnceLock::from(value),
+            slabs: None,
+        }
+    }
+
+    pub(crate) fn from_slabs(slabs: RunSlabs) -> Self {
+        Deferred {
+            built: OnceLock::new(),
+            slabs: Some(slabs),
+        }
+    }
+
+    fn get(&self, build: impl FnOnce(&RunSlabs) -> T) -> &T {
+        self.built
+            .get_or_init(|| build(self.slabs.as_ref().expect("parsed, or decoded with slabs")))
+    }
 }
 
 /// A corpus loaded back from disk (RDF level only — the raw
@@ -182,7 +247,7 @@ impl LoadedCorpus {
     pub fn combined_dataset(&self) -> Dataset {
         let mut ds = Dataset::new();
         for d in &self.descriptions {
-            ds.default_graph_mut().extend_from_graph(&d.graph);
+            ds.default_graph_mut().extend_from_graph(d.graph());
         }
         for t in &self.traces {
             match t.system {
@@ -191,9 +256,9 @@ impl LoadedCorpus {
                         "{}graph",
                         provbench_taverna::run_base_iri(&t.run_id)
                     ));
-                    ds.insert_graph(name.into(), t.dataset.default_graph());
+                    ds.insert_graph(name.into(), t.dataset().default_graph());
                 }
-                System::Wings => ds.merge(&t.dataset),
+                System::Wings => ds.merge(t.dataset()),
             }
         }
         ds
@@ -310,21 +375,18 @@ fn parse_corpus_file(
     };
     let name = file.rel.rsplit('/').next().unwrap_or_default();
     let trace = |suffix: &str, dataset| {
-        ParsedFile::Trace(LoadedTrace {
-            run_id: name.trim_end_matches(suffix).to_owned(),
+        let run_id = name.trim_end_matches(suffix).to_owned();
+        ParsedFile::Trace(LoadedTrace::new(
+            run_id,
             system,
-            template_name: template.to_owned(),
+            template.to_owned(),
             dataset,
-        })
+        ))
     };
     let parse_error = |e: ParseError| parse_ingest_error(file, &e, &content);
     let parsed = match kind {
         FileKind::Description => parse_turtle(&content).map(|(graph, _)| {
-            ParsedFile::Description(LoadedDescription {
-                system,
-                template_name: template.to_owned(),
-                graph,
-            })
+            ParsedFile::Description(LoadedDescription::new(system, template.to_owned(), graph))
         }),
         FileKind::TraceTurtle => parse_turtle(&content).map(|(g, _)| {
             let mut ds = Dataset::new();
@@ -924,7 +986,12 @@ mod tests {
                 .find(|t| t.run_id == lt.run_id)
                 .unwrap_or_else(|| panic!("unknown run {}", lt.run_id));
             assert_eq!(lt.system, original.system);
-            assert_eq!(lt.dataset, original.dataset, "mismatch for {}", lt.run_id);
+            assert_eq!(
+                lt.dataset(),
+                &original.dataset,
+                "mismatch for {}",
+                lt.run_id
+            );
         }
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -973,12 +1040,12 @@ mod tests {
             assert_eq!(a.run_id, b.run_id);
             assert_eq!(a.system, b.system);
             assert_eq!(a.template_name, b.template_name);
-            assert_eq!(a.dataset, b.dataset);
+            assert_eq!(a.dataset(), b.dataset());
         }
         for (a, b) in seq.descriptions.iter().zip(&par.descriptions) {
             assert_eq!(a.system, b.system);
             assert_eq!(a.template_name, b.template_name);
-            assert_eq!(a.graph, b.graph);
+            assert_eq!(a.graph(), b.graph());
         }
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -1005,9 +1072,44 @@ mod tests {
         );
         for (a, b) in cold.corpus.traces.iter().zip(&warm.corpus.traces) {
             assert_eq!(a.run_id, b.run_id);
-            assert_eq!(a.dataset, b.dataset);
+            assert_eq!(a.dataset(), b.dataset());
         }
         assert_eq!(warm.union, corpus.combined_dataset().union_graph());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A warm open builds the union only; each per-run graph is built
+    /// when first asked for, and equals the one a cold open parsed.
+    #[test]
+    fn warm_open_builds_run_graphs_on_first_use() {
+        let dir = tmpdir("deferred");
+        save(&small_corpus(), &dir).unwrap();
+        let cold = CorpusStore::open_or_build_with_threads(&dir, 2).unwrap();
+        let warm = CorpusStore::open_or_build_with_threads(&dir, 2).unwrap();
+        assert!(!cold.provenance.warm && warm.provenance.warm);
+        let built = |c: &LoadedCorpus| {
+            let d = c
+                .descriptions
+                .iter()
+                .filter(|d| d.graph.built.get().is_some());
+            let t = c.traces.iter().filter(|t| t.dataset.built.get().is_some());
+            d.count() + t.count()
+        };
+        assert_eq!(built(&warm.corpus), 0);
+        let runs = warm.corpus.descriptions.len() + warm.corpus.traces.len();
+        assert_eq!(built(&cold.corpus), runs);
+        for (c, w) in cold
+            .corpus
+            .descriptions
+            .iter()
+            .zip(&warm.corpus.descriptions)
+        {
+            assert_eq!(w.graph(), c.graph());
+        }
+        for (c, w) in cold.corpus.traces.iter().zip(&warm.corpus.traces) {
+            assert_eq!(w.dataset(), c.dataset(), "{}", c.run_id);
+        }
+        assert_eq!(built(&warm.corpus), runs);
         fs::remove_dir_all(&dir).unwrap();
     }
 

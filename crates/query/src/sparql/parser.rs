@@ -59,14 +59,14 @@ impl From<LexError> for QueryParseError {
     }
 }
 
-/// The deepest a query may nest. One level is counted for each group
-/// `{ … }`, each OPTIONAL, each parenthesis, each function's argument
-/// list and each `!`, and one for each link of a `||`, `&&` or `UNION`
-/// chain, which builds a left-deep tree one level taller per link. The
-/// deepest accepted query of each of these shapes parses, runs and
-/// drops on a thread with a 2 MiB stack, in a debug build too; Q1–Q6
-/// nest at most 5 levels.
-pub const MAX_NESTING: usize = 128;
+/// The deepest a query may nest, the one limit of every parser in the
+/// workspace. A query counts one level for each group `{ … }`, each
+/// OPTIONAL, each parenthesis, each function's argument list and each
+/// `!`, and one for each link of a `||`, `&&` or `UNION` chain, which
+/// builds a left-deep tree one level taller per link. The deepest
+/// accepted query of each of these shapes parses, runs and drops on a
+/// thread with a 2 MiB stack, in a debug build too.
+pub use provbench_rdf::MAX_NESTING;
 
 struct Parser {
     toks: Vec<SpannedTok>,

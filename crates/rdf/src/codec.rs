@@ -115,10 +115,14 @@ impl<'a> Reader<'a> {
         Ok(bytes)
     }
 
+    /// Read a length-prefixed UTF-8 string, borrowed from the input.
+    pub fn read_str(&mut self) -> Result<&'a str, RdfError> {
+        std::str::from_utf8(self.read_bytes()?).map_err(|_| corrupt("string is not valid UTF-8"))
+    }
+
     /// Read a length-prefixed UTF-8 string.
     pub fn read_string(&mut self) -> Result<String, RdfError> {
-        let bytes = self.read_bytes()?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| corrupt("string is not valid UTF-8"))
+        self.read_str().map(str::to_owned)
     }
 }
 
@@ -152,19 +156,20 @@ pub fn write_term(out: &mut Vec<u8>, term: &Term) {
 
 /// Read one tagged term, re-validating it through the same constructors
 /// the parsers use ([`Iri::new`], [`BlankNode::new`], [`Literal::lang`]).
+/// Each string is borrowed from the input and copied once, into the term.
 pub fn read_term(r: &mut Reader<'_>) -> Result<Term, RdfError> {
     match r.read_byte()? {
-        TAG_IRI => Ok(Term::Iri(Iri::new(r.read_string()?)?)),
-        TAG_BLANK => Ok(Term::Blank(BlankNode::new(r.read_string()?)?)),
-        TAG_LITERAL_SIMPLE => Ok(Term::Literal(Literal::simple(r.read_string()?))),
+        TAG_IRI => Ok(Term::Iri(Iri::new(r.read_str()?)?)),
+        TAG_BLANK => Ok(Term::Blank(BlankNode::new(r.read_str()?)?)),
+        TAG_LITERAL_SIMPLE => Ok(Term::Literal(Literal::simple(r.read_str()?))),
         TAG_LITERAL_LANG => {
-            let lexical = r.read_string()?;
-            let tag = r.read_string()?;
-            Ok(Term::Literal(Literal::lang(lexical, &tag)?))
+            let lexical = r.read_str()?;
+            let tag = r.read_str()?;
+            Ok(Term::Literal(Literal::lang(lexical, tag)?))
         }
         TAG_LITERAL_TYPED => {
-            let lexical = r.read_string()?;
-            let datatype = Iri::new(r.read_string()?)?;
+            let lexical = r.read_str()?;
+            let datatype = Iri::new(r.read_str()?)?;
             Ok(Term::Literal(Literal::typed(lexical, datatype)))
         }
         other => Err(corrupt(format!("unknown term tag {other}"))),

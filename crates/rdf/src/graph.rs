@@ -473,6 +473,27 @@ mod tests {
         assert!(err.to_string().contains("invalid interned"));
     }
 
+    /// A graph over a sorted table bisects it; an insert out of its
+    /// order indexes it by hash, and every term still resolves.
+    #[test]
+    fn sorted_table_takes_an_out_of_order_insert() {
+        let table: Vec<Term> = ["http://e/m", "http://e/p", "http://e/s"]
+            .map(|s| iri(s).into())
+            .to_vec();
+        let mut g = Graph::from_interned(table, [(2, 1, 0)]).unwrap();
+        g.insert(t("http://e/a", "http://e/p", "http://e/z"));
+        g.insert(t("http://e/s", "http://e/b", "http://e/m"));
+        assert_eq!(g.len(), 3);
+        for id in 0..g.term_count() as u32 {
+            let id = TermId::from_u32(id);
+            assert_eq!(g.term_to_id(g.id_to_term(id)), Some(id));
+        }
+        let s: Subject = iri("http://e/s").into();
+        assert_eq!(g.triples_matching(Some(&s), None, None).count(), 2);
+        assert!(g.contains(&t("http://e/a", "http://e/p", "http://e/z")));
+        assert!(g.term_to_id(&iri("http://e/none").into()).is_none());
+    }
+
     #[test]
     fn all_eight_pattern_shapes() {
         let mut g = Graph::new();

@@ -33,27 +33,64 @@ impl TermId {
 }
 
 /// Bidirectional `Term` ↔ `TermId` map owned by each [`crate::Graph`].
-#[derive(Default, Clone, Debug)]
+///
+/// A table in strictly increasing `Term` order — the canonical table of
+/// the served graph, which [`crate::Graph::from_interned`] receives — is
+/// its own index: a lookup bisects it, and no hash map is built. Any
+/// other table, such as a parsed graph's first-seen one, is indexed by a
+/// `HashMap`. An [`Interner::intern`] that would break the order builds
+/// that map then, once.
+#[derive(Clone, Debug)]
 pub(crate) struct Interner {
-    to_id: HashMap<Term, TermId>,
+    /// `None` while `to_term` is strictly increasing.
+    to_id: Option<HashMap<Term, TermId>>,
     to_term: Vec<Term>,
+}
+
+impl Default for Interner {
+    /// An empty interner that indexes its terms by hash, as a graph
+    /// built by insertion meets them in no particular order.
+    fn default() -> Self {
+        Interner {
+            to_id: Some(HashMap::new()),
+            to_term: Vec::new(),
+        }
+    }
 }
 
 impl Interner {
     /// Intern a term, returning its stable id.
     pub fn intern(&mut self, term: &Term) -> TermId {
-        if let Some(&id) = self.to_id.get(term) {
+        if let Some(id) = self.get(term) {
             return id;
         }
         let id = TermId(u32::try_from(self.to_term.len()).expect("interner overflow"));
-        self.to_id.insert(term.clone(), id);
+        if self.to_id.is_none() && self.to_term.last().is_some_and(|last| last > term) {
+            self.to_id = Some(
+                self.to_term
+                    .iter()
+                    .cloned()
+                    .zip((0..).map(TermId))
+                    .collect(),
+            );
+        }
+        if let Some(to_id) = &mut self.to_id {
+            to_id.insert(term.clone(), id);
+        }
         self.to_term.push(term.clone());
         id
     }
 
     /// Look up an id without interning; `None` if never seen.
     pub fn get(&self, term: &Term) -> Option<TermId> {
-        self.to_id.get(term).copied()
+        match &self.to_id {
+            Some(to_id) => to_id.get(term).copied(),
+            None => self
+                .to_term
+                .binary_search(term)
+                .ok()
+                .map(|i| TermId(i as u32)),
+        }
     }
 
     /// Resolve an id back to its term. Ids are never removed, so any id
@@ -73,18 +110,26 @@ impl Interner {
     }
 
     /// Rebuild an interner from a term table in id order (the inverse of
-    /// [`Interner::terms`]). Returns `None` if the table contains a
-    /// duplicate term — a table that no interner could have produced.
+    /// [`Interner::terms`]); a strictly increasing table gets no hash
+    /// map. Returns `None` if the table contains a duplicate term — a
+    /// table that no interner could have produced — or overflows the id
+    /// space.
     pub fn from_terms(terms: Vec<Term>) -> Option<Self> {
+        u32::try_from(terms.len()).ok()?;
+        if terms.windows(2).all(|w| w[0] < w[1]) {
+            return Some(Interner {
+                to_id: None,
+                to_term: terms,
+            });
+        }
         let mut to_id = HashMap::with_capacity(terms.len());
-        for (i, term) in terms.iter().enumerate() {
-            let id = TermId(u32::try_from(i).ok()?);
+        for (term, id) in terms.iter().zip((0..).map(TermId)) {
             if to_id.insert(term.clone(), id).is_some() {
                 return None;
             }
         }
         Some(Interner {
-            to_id,
+            to_id: Some(to_id),
             to_term: terms,
         })
     }
@@ -123,6 +168,37 @@ mod tests {
         assert!(i.get(&t).is_none());
         let id = i.intern(&t);
         assert_eq!(i.get(&t), Some(id));
+    }
+
+    /// A sorted table is searched by bisection, builds its map at the
+    /// first out-of-order intern, and resolves every term either way.
+    #[test]
+    fn sorted_tables_bisect_until_the_order_breaks() {
+        let term = |s: &str| Term::Iri(Iri::new(format!("http://ex.org/{s}")).unwrap());
+        let table: Vec<Term> = ["b", "d", "f"].map(term).to_vec();
+        let mut i = Interner::from_terms(table.clone()).unwrap();
+        assert!(i.to_id.is_none());
+        for (id, t) in table.iter().enumerate() {
+            assert_eq!(i.get(t), Some(TermId(id as u32)));
+        }
+        assert_eq!(i.get(&term("c")), None);
+        // A greater term keeps the order, and the table its own index.
+        assert_eq!(i.intern(&term("g")), TermId(3));
+        assert!(i.to_id.is_none());
+        // A smaller one breaks it: the map is built, and every id holds.
+        assert_eq!(i.intern(&term("a")), TermId(4));
+        assert!(i.to_id.is_some());
+        for (id, t) in ["b", "d", "f", "g", "a"].map(term).iter().enumerate() {
+            assert_eq!(i.get(t), Some(TermId(id as u32)));
+            assert_eq!(i.intern(t), TermId(id as u32));
+        }
+        assert_eq!(i.len(), 5);
+        // A table out of order is hashed; a duplicate is refused.
+        assert!(Interner::from_terms(["d", "b"].map(term).to_vec())
+            .unwrap()
+            .to_id
+            .is_some());
+        assert!(Interner::from_terms(["b", "b"].map(term).to_vec()).is_none());
     }
 
     #[test]

@@ -55,6 +55,18 @@ pub mod triple;
 pub mod turtle;
 pub mod xsd;
 
+/// The deepest any input may nest, in each of the workspace's
+/// recursive-descent parsers. Turtle and TriG count one level for each
+/// blank-node property list `[ … ]` and each collection `( … )`; the
+/// SPARQL parser (`provbench-query`) counts its groups, parentheses and
+/// operator chains. Past it, a parser returns its ordinary spanned
+/// error, so a hostile document or query is refused, never a stack
+/// overflow, which would abort the whole process. The deepest accepted
+/// input parses on a thread with a 2 MiB stack, a spawned thread's
+/// default, in a debug build too. The generated corpus and `examples/`
+/// nest no `[` or `(` at all, and Q1–Q6 nest at most 5 levels.
+pub const MAX_NESTING: usize = 128;
+
 pub use canon::{canonicalize, isomorphic};
 pub use dataset::{Dataset, GraphName};
 pub use error::{ParseError, RdfError};

@@ -8,6 +8,7 @@ use crate::span::{Span, SpanTable, SpannedStatement};
 use crate::term::{BlankNode, Iri, Literal, Subject, Term};
 use crate::triple::Triple;
 use crate::xsd;
+use crate::MAX_NESTING;
 use std::collections::HashSet;
 
 const RDF_FIRST: &str = "http://www.w3.org/1999/02/22-rdf-syntax-ns#first";
@@ -28,6 +29,9 @@ pub(crate) struct Parser {
     /// When present, every emitted triple is recorded here with its span.
     /// `None` keeps the hot path free of per-triple clones.
     spans: Option<SpanTable>,
+    /// Blank-node property lists and collections open at the current
+    /// token: at most [`MAX_NESTING`].
+    depth: usize,
 }
 
 impl Parser {
@@ -50,6 +54,7 @@ impl Parser {
             allow_graphs,
             current_graph: None,
             spans: None,
+            depth: 0,
         })
     }
 
@@ -477,22 +482,43 @@ impl Parser {
         }
     }
 
+    /// Parse `inner` one nesting level down, at the `[` or `(` that
+    /// opens the level; past [`MAX_NESTING`] levels, an error at it.
+    fn nested<T>(
+        &mut self,
+        inner: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth >= MAX_NESTING {
+            return Err(self.err_here(format!("input nests deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let parsed = inner(self);
+        self.depth -= 1;
+        parsed
+    }
+
     fn parse_blank_node_property_list(
         &mut self,
         dataset: &mut Dataset,
     ) -> Result<Subject, ParseError> {
-        self.expect(&TokenKind::OpenBracket, "`[`")?;
-        let node = Subject::Blank(self.fresh_blank());
-        if self.peek_kind() == &TokenKind::CloseBracket {
-            self.advance();
-            return Ok(node); // `[]` — a bare anonymous node
-        }
-        self.parse_predicate_object_list(dataset, &node)?;
-        self.expect(&TokenKind::CloseBracket, "`]`")?;
-        Ok(node)
+        self.nested(|p| {
+            p.expect(&TokenKind::OpenBracket, "`[`")?;
+            let node = Subject::Blank(p.fresh_blank());
+            if p.peek_kind() == &TokenKind::CloseBracket {
+                p.advance();
+                return Ok(node); // `[]` — a bare anonymous node
+            }
+            p.parse_predicate_object_list(dataset, &node)?;
+            p.expect(&TokenKind::CloseBracket, "`]`")?;
+            Ok(node)
+        })
     }
 
     fn parse_collection(&mut self, dataset: &mut Dataset) -> Result<Term, ParseError> {
+        self.nested(|p| p.parse_collection_items(dataset))
+    }
+
+    fn parse_collection_items(&mut self, dataset: &mut Dataset) -> Result<Term, ParseError> {
         let start = self.pos_here();
         self.expect(&TokenKind::OpenParen, "`(`")?;
         let first_pred = Iri::new_unchecked(RDF_FIRST);
@@ -630,6 +656,74 @@ mod tests {
             g2.iter().next().unwrap().object.as_iri().unwrap().as_str(),
             RDF_NIL
         );
+    }
+
+    /// Documents nesting `n` levels of `[` or `(`, as an object and as a
+    /// subject, with the character that opens each level.
+    const DEEP_SHAPES: [(fn(usize) -> String, char); 4] = [
+        (
+            |n| {
+                let open = "[ <http://e/p> ".repeat(n);
+                format!(
+                    "<http://e/a> <http://e/p> {open}<http://e/z>{} .",
+                    " ]".repeat(n)
+                )
+            },
+            '[',
+        ),
+        (
+            |n| {
+                format!(
+                    "<http://e/a> <http://e/p> {}1{} .",
+                    "( ".repeat(n),
+                    " )".repeat(n)
+                )
+            },
+            '(',
+        ),
+        (
+            |n| {
+                let open = "[ <http://e/p> ".repeat(n - 1);
+                format!("{open}[ <http://e/p> 1 ]{} .", " ]".repeat(n - 1))
+            },
+            '[',
+        ),
+        (
+            |n| format!("{}1{} <http://e/p> 2 .", "( ".repeat(n), " )".repeat(n)),
+            '(',
+        ),
+    ];
+
+    /// The deepest accepted nesting of each shape parses as Turtle, as
+    /// TriG and with spans on a 2 MiB stack, a spawned thread's default,
+    /// in a debug build too; one level more, or thousands, is a spanned
+    /// error at the first opener past the limit, never an overflow.
+    #[test]
+    fn nesting_past_the_limit_is_a_spanned_error() {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                for (make, opener) in DEEP_SHAPES {
+                    for trig in [false, true] {
+                        let deepest = make(MAX_NESTING);
+                        let (ds, _) = Parser::new(&deepest, trig).unwrap().parse().unwrap();
+                        assert!(ds.len() >= MAX_NESTING, "{deepest}");
+                        let spanned = Parser::new(&deepest, trig).unwrap().record_spans();
+                        let (_, _, spans) = spanned.parse_spanned().unwrap();
+                        assert_eq!(spans.len(), ds.len());
+                        for n in [MAX_NESTING + 1, 20_000] {
+                            let text = make(n);
+                            let e = Parser::new(&text, trig).unwrap().parse().unwrap_err();
+                            assert!(e.message.contains("nests deeper than 128 levels"), "{e}");
+                            let (at, _) = text.match_indices(opener).nth(MAX_NESTING).unwrap();
+                            assert_eq!((e.line, e.column), (1, at + 1), "{e}");
+                        }
+                    }
+                }
+            })
+            .unwrap()
+            .join()
+            .expect("the deepest accepted documents parse on a 2 MiB stack");
     }
 
     #[test]

@@ -251,7 +251,7 @@ fn cmd_validate(o: &Options) -> Result<(), String> {
     let loaded = open_dir_store(o, dir)?.corpus;
     let mut bad = 0usize;
     for trace in &loaded.traces {
-        let violations = validate(&trace.dataset.union_graph());
+        let violations = validate(&trace.dataset().union_graph());
         if !violations.is_empty() {
             bad += 1;
             println!("✗ {}:", trace.run_id);

@@ -1,7 +1,7 @@
 //! Process-level suite for `provbench serve`: a served endpoint, killed
 //! with SIGTERM mid-work, drains in-flight requests and exits 0; an
-//! idle one does not wake; and no request, however deeply it nests,
-//! aborts it.
+//! idle one does not wake; and no request or corpus file, however
+//! deeply it nests, aborts it or the other commands that open a corpus.
 //!
 //! The in-process drain mechanics (draining visible on `/readyz`,
 //! drain-duration histogram, worker join) are unit-tested in
@@ -10,7 +10,7 @@
 //! bind-first `listening on …` line, `--drain-ms`, the retrying
 //! `--endpoint` client, and the process exit code. A stack overflow
 //! aborts the whole process, so only the real binary can show that a
-//! deep query does not overflow one.
+//! deep query or corpus file does not overflow one.
 
 use provbench::corpus::{store, Corpus, CorpusSpec};
 use provbench::endpoint::{Client, ClientConfig};
@@ -321,6 +321,98 @@ fn deep_queries_get_a_spanned_400_and_the_server_lives() {
         metrics.lines().any(|l| l == "provbench_panics_total 0"),
         "{metrics}"
     );
+    let _ = child.kill();
+    let _ = child.wait();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `write_corpus` with its first Taverna trace replaced by `text`;
+/// returns that trace's path relative to `dir`.
+fn corpus_with_trace(dir: &Path, text: &str) -> String {
+    write_corpus(dir);
+    let template = std::fs::read_dir(dir.join("taverna"))
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .min()
+        .unwrap();
+    let rel = format!("taverna/{template}/{template}-run-1.prov.ttl");
+    assert!(dir.join(&rel).exists(), "{rel}");
+    std::fs::write(dir.join(&rel), text).unwrap();
+    rel
+}
+
+/// A trace that nests 5,000 blank-node property lists.
+fn deep_trace() -> String {
+    let n = 5000;
+    format!(
+        "@prefix : <http://e/> .\n:a :p {}:z{} .\n",
+        "[ :p ".repeat(n),
+        " ]".repeat(n)
+    )
+}
+
+/// Run the binary with `args`; its exit code and its stdout and stderr.
+fn run(args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(provbench_bin()).args(args).output().unwrap();
+    let text =
+        String::from_utf8_lossy(&out.stdout).into_owned() + &String::from_utf8_lossy(&out.stderr);
+    (out.status.code(), text)
+}
+
+/// A corpus file nested far past the parser's limit is quarantined by
+/// `query --dir`, which answers over the rest, and reported as PB0001 by
+/// `lint`, with the exit code of any other parse error. On a parallel
+/// open the parse runs on a spawned thread, whose stack it overflowed.
+#[test]
+fn a_deep_corpus_file_is_quarantined_and_linted() {
+    let deep = tmpdir("deep-file");
+    let rel = corpus_with_trace(&deep, &deep_trace());
+    let d = deep.to_str().unwrap();
+    let (code, text) = run(&["query", "ASK { ?s ?p ?o }", "--dir", d, "--jobs", "2"]);
+    assert_eq!(code, Some(0), "{text}");
+    assert!(text.contains("warning: 1 of 5 files quarantined"), "{text}");
+    let report = std::fs::read_to_string(deep.join("corpus.ingest-report.tsv")).unwrap();
+    assert!(
+        report.contains(&rel) && report.contains("nests deeper than 128 levels"),
+        "{report}"
+    );
+
+    let (code, text) = run(&["lint", d, "--jobs", "2"]);
+    let finding = format!("{rel}:2:");
+    let line = text
+        .lines()
+        .find(|l| l.contains(&finding))
+        .unwrap_or_else(|| panic!("{text}"));
+    assert!(
+        line.contains("nests deeper than 128 levels [PB0001]"),
+        "{line}"
+    );
+
+    let broken = tmpdir("broken-file");
+    corpus_with_trace(&broken, "@prefix : <http://e/> .\nNOT TURTLE %%%\n");
+    let (other, text) = run(&["lint", broken.to_str().unwrap(), "--jobs", "2"]);
+    assert!(text.contains("[PB0001]"), "{text}");
+    assert_eq!(code, other);
+    assert!(code.is_some_and(|c| c != 0 && c != 134));
+    let _ = std::fs::remove_dir_all(&deep);
+    let _ = std::fs::remove_dir_all(&broken);
+}
+
+/// `serve` loads a corpus holding a deep file, with that file
+/// quarantined, and stays up.
+#[test]
+fn serve_loads_a_corpus_with_a_deep_file() {
+    let dir = tmpdir("deep-serve");
+    corpus_with_trace(&dir, &deep_trace());
+    let (mut child, addr, _stderr) = spawn_server(&dir, 30_000);
+    await_ready(&addr);
+    let client = client(&addr);
+    assert_eq!(client.get("/healthz").unwrap().status, 200);
+    let ask = client
+        .post("/sparql", "application/sparql-query", "ASK { ?s ?p ?o }")
+        .unwrap();
+    assert_eq!(ask.status, 200, "{}", ask.text());
+    assert!(child.try_wait().unwrap().is_none(), "serve exited");
     let _ = child.kill();
     let _ = child.wait();
     let _ = std::fs::remove_dir_all(&dir);

@@ -366,13 +366,14 @@ fn older_cache_formats_rebuild_cleanly() {
         bytes[6..8].copy_from_slice(&version.to_le_bytes());
         std::fs::write(&path, bytes).unwrap();
     };
-    stamp(LINT_SNAPSHOT_FILE, 1);
-    for version in [2, 3] {
+    stamp(LINT_SNAPSHOT_FILE, 2);
+    for version in [2, 3, 4] {
         stamp(SNAPSHOT_FILE, version);
         let store = CorpusStore::open_or_build(&dir).unwrap();
         assert!(!store.provenance.warm);
         let reason = store.provenance.rebuild_reason.unwrap();
-        assert!(reason.contains(&format!("version {version}")), "{reason}");
+        let expected = format!("snapshot version {version} (this build reads 5)");
+        assert!(reason.contains(&expected), "{reason}");
         assert_eq!(store.union, reference.union);
     }
     let lint = diag::lint_corpus_incremental(&dir, &registry, &lint_opts()).unwrap();
